@@ -591,9 +591,10 @@ class BackendContract(Rule):
         "cache server probe whole sweeps through them), and no method "
         "of it may call oracle entry points (run_pmm, PmmRequest, "
         "request.run()) — backends store payloads; the explorer owns "
-        "evaluation.  The CacheBackend Protocol itself is exempt: the "
-        "hooks are deliberately optional for out-of-tree minimal "
-        "backends."
+        "evaluation.  The hooks are CacheBackend Protocol members, and "
+        "the engine calls them with no per-key fallback.  The Protocol "
+        "class itself is exempt: it declares the surface, it does not "
+        "implement it."
     )
 
     REQUIRED = {"get", "put", "clear", "__len__"}

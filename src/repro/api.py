@@ -47,7 +47,6 @@ from .explore.cache import (
     DiskCache,
     MemoryCache,
     RemoteCache,
-    TieredCache,
 )
 from .explore.engine import (
     BudgetState,
@@ -122,7 +121,6 @@ __all__ = [
     "SearchBudget",
     "SearchDriver",
     "SearchStrategy",
-    "TieredCache",
     "Transform",
     "analyze_macp",
     "canonical_json",

@@ -148,12 +148,7 @@ class AppSpec:
         store[name] = program
         return program
 
-    def space(
-        self,
-        constraints: Optional[Any] = None,
-        *,
-        precompiled: Optional[bool] = None,
-    ) -> "DesignSpace":
+    def space(self, constraints: Optional[Any] = None) -> "DesignSpace":
         """The app's default design space, swept by name everywhere.
 
         The baseline program is built at most once per (spec,
@@ -163,28 +158,13 @@ class AppSpec:
         all alternatives — across explorer instances, not just within
         one.  The shared programs are treated as immutable, exactly as
         the engine already assumes when fingerprinting them.
-
-        ``precompiled`` controls the ahead-of-time spacecache
-        (:mod:`repro.explore.spacecache`): ``None`` (the default) loads
-        a compiled artifact opportunistically when a fresh one exists
-        (and ``REPRO_SPACECACHE=0`` is not set), ``True`` insists the
-        artifact path be attempted, ``False`` always builds live.  A
-        missing or stale artifact **always** falls back to the live
-        build below — a wrong space is never served.
         """
         # Deferred: repro.explore imports repro.apps (the BTPC study),
         # so the registry cannot import the space module at load time.
-        from ..explore import spacecache
         from ..explore.space import DesignSpace
 
         if constraints is None:
             constraints = self.constraints_factory()
-        if precompiled is None:
-            precompiled = spacecache.enabled()
-        if precompiled:
-            loaded = spacecache.load_space(self.name, constraints)
-            if loaded is not None:
-                return loaded
         if self.space_factory is not None:
             return self.space_factory(constraints)
         space = DesignSpace(

@@ -6,7 +6,7 @@ over a compact length-prefixed binary protocol built on the ``.rpc``
 record codec.  Worker processes point
 ``Explorer(cache="remote://host:port")`` at it and share every
 evaluation they make; see :class:`~repro.explore.cache.RemoteCache`
-and :class:`~repro.explore.cache.TieredCache` for the client side.
+for the client side.
 
 The server symbols are re-exported lazily: :mod:`repro.explore.cache`
 imports :mod:`.protocol` for its wire client, and an eager import of

@@ -53,12 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="LRU entry bound for the corpus (default: unbounded)",
     )
     parser.add_argument(
-        "--format",
-        choices=("compact", "json"),
-        default=defaults.format,
-        help="shard format for a disk-backed corpus (default: %(default)s)",
-    )
-    parser.add_argument(
         "--drain-seconds",
         type=float,
         default=defaults.drain_seconds,
@@ -75,7 +69,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         port=args.port,
         cache_dir=args.cache,
         max_entries=args.max_entries,
-        format=args.format,
         drain_seconds=args.drain_seconds,
     )
     drained = asyncio.run(serve(CacheServer(config)))

@@ -50,8 +50,6 @@ class CacheServerConfig:
     cache_dir: Optional[Union[str, Path]] = None
     #: Entry bound for the backend (LRU eviction past it).
     max_entries: Optional[int] = None
-    #: Shard format for a disk-backed corpus (``compact`` or ``json``).
-    format: str = "compact"
     #: Grace window for in-flight requests after a stop signal.
     drain_seconds: float = 5.0
 
@@ -72,11 +70,7 @@ class CacheServer:
         if backend is not None:
             self.backend = backend
         elif config.cache_dir is not None:
-            self.backend = DiskCache(
-                config.cache_dir,
-                max_entries=config.max_entries,
-                format=config.format,
-            )
+            self.backend = DiskCache(config.cache_dir, max_entries=config.max_entries)
         else:
             self.backend = MemoryCache(max_entries=config.max_entries)
         #: Serializes all backend access (handlers run on worker
@@ -99,15 +93,7 @@ class CacheServer:
     def _handle_get(self, operand: bytes) -> bytes:
         keys = protocol.parse_get(operand)
         with self.lock:
-            lookup = getattr(self.backend, "lookup_many", None)
-            if lookup is not None:
-                found = lookup(keys)
-            else:
-                found = {}
-                for key in dict.fromkeys(keys):
-                    payload = self.backend.get(key)
-                    if payload is not None:
-                        found[key] = payload
+            found = self.backend.lookup_many(keys)
         with self.counters_lock:
             self.keys_requested += len(keys)
             self.keys_served += len(found)
@@ -116,12 +102,7 @@ class CacheServer:
     def _handle_put(self, operand: bytes) -> bytes:
         payloads = protocol.parse_put(operand)
         with self.lock:
-            store = getattr(self.backend, "store_many", None)
-            if store is not None:
-                store(payloads)
-            else:
-                for key, payload in payloads.items():
-                    self.backend.put(key, payload)
+            self.backend.store_many(payloads)
         with self.counters_lock:
             self.keys_stored += len(payloads)
         return protocol.ok_count(len(payloads))

@@ -1,21 +1,16 @@
 """Pluggable memoization backends for the exploration engine.
 
 The :class:`~repro.explore.engine.Explorer` memoizes every oracle
-evaluation under a content-addressed fingerprint.  This module owns
-*where* those memo entries live:
+evaluation under a content-addressed fingerprint.  In-process, the
+:class:`~repro.explore.engine.EvaluationCache` keeps decoded reports
+itself; this module owns the optional *persistent* store behind it:
 
-* :class:`MemoryCache` — an in-process store (the default), optionally
-  bounded by ``max_entries`` with least-recently-used eviction so long
-  strategy runs cannot grow it without limit.
 * :class:`DiskCache` — a content-addressed on-disk store (sharded
   files, atomic writes, corruption-tolerant reads) that keeps sweeps
-  warm across *processes and runs*, not just within one explorer.  New
-  entries are written in the **compact payload format**
-  (:mod:`repro.costs.report`'s struct-packed records, ``format=
-  "compact"``, the default) so warm-disk probes skip generic JSON
-  decoding; legacy ``.json`` shards remain readable transparently, so
-  existing cache directories stay valid (``format="json"`` keeps
-  writing them).
+  warm across *processes and runs*.  Entries are written as compact
+  payload records (:mod:`repro.costs.report`'s struct-packed codec);
+  legacy ``.json`` shards stay readable, so old cache directories
+  remain valid.
 * :class:`RemoteCache` — the **network tier**: a client for the
   :mod:`repro.cacheserver` server, so sweeps stay warm across
   *machines*.  Probes batch into single wire round trips; stores are
@@ -23,10 +18,8 @@ evaluation under a content-addressed fingerprint.  This module owns
   path never blocks on the network); when the server is unreachable,
   reads fall through to an optional local ``fallback`` backend and
   stores land there too.
-* :class:`TieredCache` — composes backends into one read-through /
-  write-through stack (e.g. bounded memory mirror → remote → disk):
-  probes walk the tiers in order and promote hits upward, stores fan
-  out to every tier.
+* :class:`MemoryCache` — an in-process LRU payload store: the cache
+  server's memory-only corpus.
 
 ``resolve_backend`` understands ``remote://host:port`` URLs (with an
 optional ``/local/fallback/dir`` path suffix), so
@@ -34,17 +27,10 @@ optional ``/local/fallback/dir`` path suffix), so
 --cache remote://...`` plug whole worker fleets into one shared warm
 corpus.
 
-Both implement the :class:`CacheBackend` protocol and expose a
-:class:`CacheStats` counter block (hits, misses, stores, evictions,
-corrupt reads) that the :mod:`repro.perf` harness surfaces into its
-``BENCH_*.json`` reports.
-
-Backends may additionally provide **bulk hooks** — ``lookup_many`` and
-``store_many`` — which the engine uses to probe or fill a whole sweep
-batch in one call.  The built-in backends implement both (the
-:class:`DiskCache` version refreshes its directory index once per
-batch instead of stat-ing the filesystem per point); backends without
-them fall back to per-key ``get``/``put`` transparently.
+Every backend implements the :class:`CacheBackend` protocol, including
+the bulk hooks ``lookup_many``/``store_many`` that probe or fill a
+whole sweep batch in one call, and exposes a :class:`CacheStats`
+counter block (hits, misses, stores, evictions, corrupt reads).
 
 Backends store plain JSON payloads (``dict``\\ s), not domain objects;
 the :class:`~repro.explore.engine.EvaluationCache` facade converts
@@ -88,8 +74,8 @@ from ..costs.report import (
     unpack_payload,
 )
 
-#: Shard-file suffix of compact payload records (legacy entries keep
-#: ``.json``; both are always readable regardless of the write format).
+#: Shard-file suffix of compact payload records (the only format
+#: written); legacy ``.json`` shards stay readable.
 COMPACT_SUFFIX = ".rpc"
 JSON_SUFFIX = ".json"
 
@@ -144,12 +130,10 @@ class CacheBackend(Protocol):
     fingerprints.  Implementations keep a :class:`CacheStats` and may
     bound their size via ``max_entries`` (LRU order).
 
-    Backends may optionally implement the bulk hooks ``lookup_many(keys)
-    -> Dict[key, payload]`` (present keys only, stats counted exactly as
-    per-key ``get`` calls would) and ``store_many(payloads)``.  They are
-    deliberately not protocol members: a minimal backend stays valid and
-    the engine falls back to per-key ``get``/``put`` when they are
-    absent.
+    ``lookup_many(keys)`` returns the payloads of the present keys
+    (stats counted exactly as per-key ``get`` calls would) and
+    ``store_many(payloads)`` stores a batch: the engine and the cache
+    server probe and fill whole sweeps through these bulk hooks.
 
     **Thread-safety contract:** backends are *not* required to be
     internally synchronized.  All engine and service traffic flows
@@ -165,6 +149,10 @@ class CacheBackend(Protocol):
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None: ...
 
+    def lookup_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]: ...
+
+    def store_many(self, payloads: Mapping[str, Mapping[str, Any]]) -> None: ...
+
     def __len__(self) -> int: ...
 
     def clear(self) -> None: ...
@@ -174,10 +162,12 @@ class CacheBackend(Protocol):
 # In-memory LRU
 # ----------------------------------------------------------------------
 class MemoryCache:
-    """In-process backend; optional LRU bound via ``max_entries``.
+    """In-process payload store; optional LRU bound via ``max_entries``.
 
-    Unbounded by default (matching the historic memo dict).  With
-    ``max_entries=N`` the store never holds more than N payloads:
+    The cache server's memory-only corpus (explorers keep decoded
+    reports in their :class:`~repro.explore.engine.EvaluationCache`
+    instead).  Unbounded by default.  With ``max_entries=N`` the store
+    never holds more than N payloads:
     inserting beyond the bound evicts the least-recently-*used* entry
     (both :meth:`get` and :meth:`put` refresh recency) and increments
     ``stats.evictions``.
@@ -255,9 +245,9 @@ class DiskCache:
     Layout is sharded by fingerprint prefix —
     ``root/<key[:2]>/<key>.rpc`` (compact payload records) or
     ``<key>.json`` (legacy shards) — so directories stay small at
-    scale.  ``format`` selects what :meth:`put` writes (``"compact"``,
-    the default, or ``"json"``); reads sniff the record's magic bytes,
-    so mixed directories and pre-compact cache dirs stay fully valid.
+    scale.  :meth:`put` writes compact records only; reads sniff the
+    record's magic bytes, so mixed directories and pre-compact cache
+    dirs stay fully valid.
     Writes go through a same-directory temp file plus ``os.replace`` so
     a crashed writer can never leave a half-written shard; readers that
     do hit a corrupt file (truncated by external causes, wrong content)
@@ -283,15 +273,11 @@ class DiskCache:
         root: Union[str, Path],
         *,
         max_entries: Optional[int] = None,
-        format: str = "compact",
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
-        if format not in ("compact", "json"):
-            raise ValueError("format must be 'compact' or 'json'")
         self.root = Path(root)
         self.max_entries = max_entries
-        self.format = format
         self.stats = CacheStats()
         #: Decoded payloads, LRU-ordered, bounded by ``max_entries``.
         self._mirror: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -315,9 +301,7 @@ class DiskCache:
     def _shard(self, key: str) -> Path:
         return self.root / key[:2]
 
-    def _file(self, key: str, suffix: Optional[str] = None) -> Path:
-        if suffix is None:
-            suffix = COMPACT_SUFFIX if self.format == "compact" else JSON_SUFFIX
+    def _file(self, key: str, suffix: str) -> Path:
         return self._shard(key) / f"{key}{suffix}"
 
     def __len__(self) -> int:
@@ -472,32 +456,24 @@ class DiskCache:
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         shard = self._shard(key)
         shard.mkdir(parents=True, exist_ok=True)
-        if self.format == "compact":
-            blob = pack_payload(payload)
-            suffix = COMPACT_SUFFIX
-        else:
-            blob = json.dumps(dict(payload), ensure_ascii=False).encode("utf-8")
-            suffix = JSON_SUFFIX
+        blob = pack_payload(payload)
         fd, temp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
-            os.replace(temp_name, self._file(key, suffix))
+            os.replace(temp_name, self._file(key, COMPACT_SUFFIX))
         except BaseException:
             try:
                 os.unlink(temp_name)
             except OSError:
                 pass
             raise
-        for other in self._SUFFIXES:
-            # A rewrite supersedes the entry's other-format shard (a
-            # legacy .json next to a fresh compact record, or vice
-            # versa): two live files for one key would shadow updates.
-            if other != suffix:
-                self._unlink(self._file(key, other))
+        # A rewrite supersedes the entry's legacy .json shard: two live
+        # files for one key would shadow updates.
+        self._unlink(self._file(key, JSON_SUFFIX))
         self._remember_mirror(key, dict(payload))
         self._known.pop(key, None)
-        self._known[key] = suffix
+        self._known[key] = COMPACT_SUFFIX
         self.stats.stores += 1
         while self.max_entries is not None and len(self._known) > self.max_entries:
             oldest, _ = self._known.popitem(last=False)
@@ -755,15 +731,7 @@ class RemoteCache:
 
     def _fallback_lookup(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
         with self._fallback_lock:
-            bulk = getattr(self.fallback, "lookup_many", None)
-            if bulk is not None:
-                return bulk(keys)
-            found: Dict[str, Dict[str, Any]] = {}
-            for key in keys:
-                payload = self.fallback.get(key)
-                if payload is not None:
-                    found[key] = payload
-            return found
+            return self.fallback.lookup_many(keys)
 
     # ------------------------------------------------------------------
     # Writes (write-behind)
@@ -810,12 +778,7 @@ class RemoteCache:
 
     def _store_on_fallback(self, entries: Mapping[str, Dict[str, Any]]) -> None:
         with self._fallback_lock:
-            bulk = getattr(self.fallback, "store_many", None)
-            if bulk is not None:
-                bulk(entries)
-            else:
-                for key, payload in entries.items():
-                    self.fallback.put(key, payload)
+            self.fallback.store_many(entries)
 
     def _push(self, entries: Mapping[str, Dict[str, Any]]) -> bool:
         """Land a batch server-side, or on the fallback during outages.
@@ -1024,114 +987,6 @@ class RemoteCache:
 
 
 # ----------------------------------------------------------------------
-# Tier composition
-# ----------------------------------------------------------------------
-class TieredCache:
-    """Read-through / write-through composition of cache backends.
-
-    ``TieredCache((MemoryCache(max_entries=512), RemoteCache(...),
-    DiskCache(...)))`` is the disaggregated-memory shape: a small local
-    hot set in front, the shared network corpus behind it, a durable
-    disk tier at the back.  Probes walk the tiers front to back and
-    **promote** hits into every tier above the one that answered;
-    stores fan out to all tiers (the remote tier's own write-behind
-    keeps that non-blocking).  ``max_entries`` reports the front tier's
-    bound — that is the hot set the
-    :class:`~repro.explore.engine.EvaluationCache` decoded mirror
-    should share.
-    """
-
-    def __init__(self, tiers: Sequence[CacheBackend]) -> None:
-        if not tiers:
-            raise ValueError("TieredCache needs at least one tier")
-        self.tiers: Tuple[CacheBackend, ...] = tuple(tiers)
-        self.stats = CacheStats()
-
-    @property
-    def max_entries(self) -> Optional[int]:
-        return getattr(self.tiers[0], "max_entries", None)
-
-    def __len__(self) -> int:
-        # The deepest tier is the authoritative store.
-        return len(self.tiers[-1])
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _tier_lookup(
-        tier: CacheBackend, keys: Sequence[str]
-    ) -> Dict[str, Dict[str, Any]]:
-        bulk = getattr(tier, "lookup_many", None)
-        if bulk is not None:
-            return bulk(keys)
-        found: Dict[str, Dict[str, Any]] = {}
-        for key in keys:
-            payload = tier.get(key)
-            if payload is not None:
-                found[key] = payload
-        return found
-
-    @staticmethod
-    def _tier_store(
-        tier: CacheBackend, payloads: Mapping[str, Mapping[str, Any]]
-    ) -> None:
-        bulk = getattr(tier, "store_many", None)
-        if bulk is not None:
-            bulk(payloads)
-        else:
-            for key, payload in payloads.items():
-                tier.put(key, payload)
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        return self.lookup_many((key,)).get(key)
-
-    def lookup_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-        remaining = list(dict.fromkeys(keys))
-        found: Dict[str, Dict[str, Any]] = {}
-        for index, tier in enumerate(self.tiers):
-            if not remaining:
-                break
-            hits = self._tier_lookup(tier, remaining)
-            if not hits:
-                continue
-            for upper in self.tiers[:index]:
-                self._tier_store(upper, hits)
-            found.update(hits)
-            remaining = [key for key in remaining if key not in hits]
-        self.stats.hits += len(found)
-        self.stats.misses += len(remaining)
-        return found
-
-    def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        self.store_many({key: payload})
-
-    def store_many(self, payloads: Mapping[str, Mapping[str, Any]]) -> None:
-        for tier in self.tiers:
-            self._tier_store(tier, payloads)
-        self.stats.stores += len(payloads)
-
-    def clear(self) -> None:
-        for tier in self.tiers:
-            tier.clear()
-        self.stats.reset()
-
-    def flush(self, timeout: Optional[float] = None) -> bool:
-        """Drain any write-behind tier (no-op for synchronous tiers)."""
-        drained = True
-        for tier in self.tiers:
-            flush = getattr(tier, "flush", None)
-            if flush is not None:
-                drained = flush(timeout=timeout) and drained
-        return drained
-
-    def close(self) -> None:
-        for tier in self.tiers:
-            close = getattr(tier, "close", None)
-            if close is not None:
-                close()
-
-
-# ----------------------------------------------------------------------
 # User-facing cache= resolution
 # ----------------------------------------------------------------------
 #: Scheme prefix selecting the network tier in ``cache=`` arguments.
@@ -1167,55 +1022,33 @@ def resolve_backend(
     cache: Union[None, str, Path, CacheBackend],
     *,
     max_entries: Optional[int] = None,
-    format: Optional[str] = None,
-) -> CacheBackend:
+) -> Optional[CacheBackend]:
     """Normalize a user-facing ``cache=`` argument into a backend.
 
-    ``None`` -> fresh :class:`MemoryCache`; a ``remote://host:port``
-    URL -> a :class:`RemoteCache` (with a local :class:`DiskCache`
-    fallback when the URL carries a path, and a bounded
-    :class:`MemoryCache` front tier when ``max_entries`` is set); any
-    other string or path -> a :class:`DiskCache` rooted there; an
-    existing backend passes through (``max_entries`` and ``format``
-    then must be left unset — the backend already owns its bound and
-    shard format).  ``format`` selects the :class:`DiskCache` shard
-    format (``"compact"``/``"json"``) and is rejected wherever no disk
-    store is being constructed.
+    ``None`` -> ``None``: no backend, the
+    :class:`~repro.explore.engine.EvaluationCache` decoded tier is the
+    whole memo.  A ``remote://host:port`` URL -> a :class:`RemoteCache`
+    (with a local :class:`DiskCache` fallback when the URL carries a
+    path).  Any other string or path -> a :class:`DiskCache` rooted
+    there, bounded by ``max_entries``.  An existing backend passes
+    through (``max_entries`` then must be left unset — the backend
+    already owns its bound).  For ``None`` and remote URLs,
+    ``max_entries`` bounds only the caller's in-process memo; the
+    server owns the remote corpus bound.
     """
     if cache is None:
-        if format is not None:
-            raise ValueError(
-                "format requires a disk-backed cache; the in-memory "
-                "backend has no shard format"
-            )
-        return MemoryCache(max_entries=max_entries)
+        return None
     if isinstance(cache, str) and cache.startswith(REMOTE_SCHEME):
         host, port, fallback_root = parse_remote_url(cache)
-        fallback: Optional[CacheBackend] = None
-        if fallback_root is not None:
-            fallback = DiskCache(fallback_root, format=format or "compact")
-        elif format is not None:
-            raise ValueError(
-                "format applies to the local fallback DiskCache; this "
-                "remote URL names no fallback directory"
-            )
-        remote: CacheBackend = RemoteCache(host, port, fallback=fallback)
-        if max_entries is not None:
-            # The bound names the local hot set: a memory front tier.
-            return TieredCache((MemoryCache(max_entries=max_entries), remote))
-        return remote
+        fallback = DiskCache(fallback_root) if fallback_root is not None else None
+        return RemoteCache(host, port, fallback=fallback)
     if isinstance(cache, (str, Path)):
-        return DiskCache(cache, max_entries=max_entries, format=format or "compact")
+        return DiskCache(cache, max_entries=max_entries)
     if isinstance(cache, CacheBackend):
         if max_entries is not None:
             raise ValueError(
                 "max_entries cannot be combined with an explicit backend; "
                 "configure the bound on the backend itself"
-            )
-        if format is not None:
-            raise ValueError(
-                "format cannot be combined with an explicit backend; "
-                "configure the format on the backend itself"
             )
         return cache
     raise TypeError(

@@ -86,28 +86,28 @@ __all__ = [
 # Memoization cache
 # ----------------------------------------------------------------------
 class EvaluationCache:
-    """Fingerprint -> cost report store over a pluggable backend.
+    """Fingerprint -> cost report memo over an optional backend.
 
-    The backend (:class:`~repro.explore.cache.CacheBackend`) owns the
-    serializable report payloads — :class:`MemoryCache` by default,
-    :class:`DiskCache` when constructed with a ``path=`` directory
-    (warm across processes and runs), :class:`RemoteCache` when
-    ``path=`` is a ``remote://host:port`` URL (warm across *machines*
-    via :mod:`repro.cacheserver`), or any caller-provided backend;
-    ``format=`` picks the :class:`DiskCache` shard format where one is
-    being built.  Full :class:`PmmResult`\\ s are kept in-memory only
-    (they hold schedules and conflict graphs) for callers that need
-    more than the report.
+    The in-process memo is the **decoded tier**: a fingerprint ->
+    (:class:`CostReport` | failure) map of everything this cache has
+    decoded or stored, consulted before any backend probe.  A warm
+    re-probe costs one dictionary lookup — no payload fetch, no
+    :meth:`CostReport.from_dict` materialization; ``decoded_hits``
+    counts the probes it absorbed.  ``max_entries`` bounds it with LRU
+    eviction (defaulting to the backend's own bound), so a bounded
+    cache stays bounded end to end.
 
-    On top of the backend sits the **decoded-report tier**: a
-    fingerprint -> (:class:`CostReport` | failure) mirror of everything
-    this cache has decoded or stored, consulted before any backend
-    probe.  A warm re-probe costs one dictionary lookup — no payload
-    fetch, no :meth:`CostReport.from_dict` materialization.  The tier
-    shares the backend's ``max_entries`` bound with the same LRU
-    discipline (an unbounded backend keeps it unbounded), so a bounded
-    cache stack stays bounded end to end; ``decoded_hits`` counts the
-    probes it absorbed.
+    Without ``path``/``backend`` the decoded tier is the whole memo.
+    With ``path=`` a directory, a
+    :class:`~repro.explore.cache.DiskCache` persists every entry (warm
+    across processes and runs); with ``path=`` a ``remote://host:port``
+    URL, a :class:`~repro.explore.cache.RemoteCache` shares them across
+    *machines* via :mod:`repro.cacheserver`; ``backend=`` takes any
+    caller-provided :class:`~repro.explore.cache.CacheBackend`.
+
+    Full :class:`PmmResult`\\ s (schedules and conflict graphs) are
+    pinned only by :meth:`Explorer.evaluate_program`, the session path
+    that returns them; pins share the ``max_entries`` bound.
 
     ``hits``/``misses`` count *evaluations* the explorer resolved from
     cache versus ran through the oracle; the backend's own
@@ -130,27 +130,23 @@ class EvaluationCache:
         *,
         backend: Optional[CacheBackend] = None,
         max_entries: Optional[int] = None,
-        format: Optional[str] = None,
     ) -> None:
         if path is not None and backend is not None:
             raise ValueError("pass either path= or backend=, not both")
-        if backend is not None:
-            self.backend = resolve_backend(
-                backend, max_entries=max_entries, format=format
-            )
-        else:
-            # Remote URLs must reach resolve_backend as strings —
-            # Path() would mangle the ``//`` scheme separator.
-            target: Union[None, str, Path]
-            if isinstance(path, str) and path.startswith(REMOTE_SCHEME):
-                target = path
-            else:
-                target = Path(path) if path is not None else None
-            self.backend = resolve_backend(
-                target, max_entries=max_entries, format=format
-            )
+        if max_entries is not None and max_entries < 1:
+            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
+        # Remote URLs must reach resolve_backend as strings — Path()
+        # would mangle the ``//`` scheme separator.
+        target = backend if backend is not None else path
+        if isinstance(target, Path) or (
+            isinstance(target, str) and not target.startswith(REMOTE_SCHEME)
+        ):
+            target = Path(target)
+        self.backend = resolve_backend(target, max_entries=max_entries)
         self.path = self.backend.root if isinstance(self.backend, DiskCache) else None
-        self.max_entries = getattr(self.backend, "max_entries", None)
+        if max_entries is None:
+            max_entries = getattr(self.backend, "max_entries", None)
+        self.max_entries = max_entries
         self.results: "OrderedDict[str, PmmResult]" = OrderedDict()
         #: Serializes every probe/store/counter path (and thereby all
         #: backend access): re-entrant so locked methods can call each
@@ -158,8 +154,8 @@ class EvaluationCache:
         self.lock = threading.RLock()
         self.hits = 0
         self.misses = 0
-        #: The decoded-report tier: fingerprint -> (report, error),
-        #: LRU-ordered, bounded by the backend's ``max_entries``.
+        #: The decoded tier: fingerprint -> (report, error), LRU-ordered,
+        #: bounded by ``max_entries``.
         self._decoded: OrderedDict[
             str, Tuple[Optional[CostReport], Optional[str]]
         ] = OrderedDict()
@@ -167,6 +163,8 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         with self.lock:
+            if self.backend is None:
+                return len(self._decoded)
             return len(self.backend)
 
     #: Payload marker for negatively-cached evaluations (infeasible
@@ -175,14 +173,14 @@ class EvaluationCache:
     FAILURE_KEY = INFEASIBLE_MARKER
 
     # ------------------------------------------------------------------
-    # Decoded-report tier plumbing
+    # Decoded tier plumbing
     # ------------------------------------------------------------------
     def _remember(
         self,
         fingerprint: str,
         entry: Tuple[Optional[CostReport], Optional[str]],
     ) -> None:
-        """Pin a decoded entry with LRU recency under the shared bound."""
+        """Keep a decoded entry with LRU recency under the bound."""
         decoded = self._decoded
         decoded[fingerprint] = entry
         decoded.move_to_end(fingerprint)
@@ -205,7 +203,7 @@ class EvaluationCache:
 
     @property
     def decoded_entries(self) -> int:
-        """Current size of the decoded-report tier."""
+        """Current size of the decoded tier."""
         with self.lock:
             return len(self._decoded)
 
@@ -226,6 +224,8 @@ class EvaluationCache:
                 self._decoded.move_to_end(fingerprint)
                 self.decoded_hits += 1
                 return entry
+            if self.backend is None:
+                return None, None
             payload = self.backend.get(fingerprint)
             if payload is None:
                 return None, None
@@ -239,12 +239,10 @@ class EvaluationCache:
         Returns ``{fingerprint: (report, error)}`` for the fingerprints
         the cache holds; absent fingerprints are simply missing from
         the mapping.  Fingerprints already in the decoded tier never
-        reach the backend; the rest go through the backend's
-        ``lookup_many`` bulk hook when it has one (the
-        :class:`~repro.explore.cache.DiskCache` version probes a warm
-        sweep in one directory pass) with a per-key
-        :meth:`~repro.explore.cache.CacheBackend.get` fallback, and
-        their decoded entries fill the tier in bulk.
+        reach the backend; the rest go through one backend
+        ``lookup_many`` (the :class:`~repro.explore.cache.DiskCache`
+        version probes a warm sweep in one directory pass), and their
+        decoded entries fill the tier in bulk.
         """
         with self.lock:
             decoded = self._decoded
@@ -258,34 +256,23 @@ class EvaluationCache:
                     resolved[fingerprint] = entry
                 else:
                     remaining.append(fingerprint)
-            if not remaining:
+            if not remaining or self.backend is None:
                 return resolved
-            bulk = getattr(self.backend, "lookup_many", None)
-            if bulk is not None:
-                payloads = bulk(remaining)
-            else:
-                payloads = {}
-                for fingerprint in remaining:
-                    payload = self.backend.get(fingerprint)
-                    if payload is not None:
-                        payloads[fingerprint] = payload
-            for fingerprint, payload in payloads.items():
+            for fingerprint, payload in self.backend.lookup_many(remaining).items():
                 resolved[fingerprint] = self._decode_payload(fingerprint, payload)
             return resolved
 
     def store_many(self, reports: Mapping[str, CostReport]) -> None:
-        """Bulk report store, via the backend's ``store_many`` if any."""
-        payloads = {
-            fingerprint: report.to_dict()
-            for fingerprint, report in reports.items()
-        }
+        """Bulk report store (one backend ``store_many``)."""
+        payloads = None
+        if self.backend is not None:
+            payloads = {
+                fingerprint: report.to_dict()
+                for fingerprint, report in reports.items()
+            }
         with self.lock:
-            bulk = getattr(self.backend, "store_many", None)
-            if bulk is not None:
-                bulk(payloads)
-            else:
-                for fingerprint, payload in payloads.items():
-                    self.backend.put(fingerprint, payload)
+            if payloads is not None:
+                self.backend.store_many(payloads)
             for fingerprint, report in reports.items():
                 self._remember(fingerprint, (report, None))
 
@@ -304,14 +291,12 @@ class EvaluationCache:
             return result
 
     def store_result(self, fingerprint: str, result: PmmResult) -> None:
-        """Pin a full result, LRU-bounded like every in-memory tier.
+        """Pin a full result, LRU-bounded like the decoded tier.
 
-        Results hold schedules and conflict graphs, so an unbounded
-        result store is the heaviest possible leak for long strategy
-        runs over a bounded backend; the same ``max_entries`` bound and
-        recency discipline apply.  An already-pinned fingerprint keeps
-        its (deterministically identical) result and just refreshes
-        recency.
+        Results hold schedules and conflict graphs, so the same
+        ``max_entries`` bound and recency discipline apply.  An
+        already-pinned fingerprint keeps its (deterministically
+        identical) result and just refreshes recency.
         """
         with self.lock:
             if fingerprint not in self.results:
@@ -323,7 +308,8 @@ class EvaluationCache:
 
     def store_failure(self, fingerprint: str, error: str) -> None:
         with self.lock:
-            self.backend.put(fingerprint, {self.FAILURE_KEY: error})
+            if self.backend is not None:
+                self.backend.put(fingerprint, {self.FAILURE_KEY: error})
             self._remember(fingerprint, (None, error))
 
     def store(
@@ -333,7 +319,8 @@ class EvaluationCache:
         result: Optional[PmmResult] = None,
     ) -> None:
         with self.lock:
-            self.backend.put(fingerprint, report.to_dict())
+            if self.backend is not None:
+                self.backend.put(fingerprint, report.to_dict())
             self._remember(fingerprint, (report, None))
             if result is not None:
                 self.store_result(fingerprint, result)
@@ -374,7 +361,8 @@ class EvaluationCache:
 
     def clear(self) -> None:
         with self.lock:
-            self.backend.clear()
+            if self.backend is not None:
+                self.backend.clear()
             self.results.clear()
             self._decoded.clear()
             self.hits = 0
@@ -382,21 +370,24 @@ class EvaluationCache:
             self.decoded_hits = 0
 
     def stats(self) -> str:
-        return f"{len(self.backend)} entries, {self.hits} hits, {self.misses} misses"
+        return f"{len(self)} entries, {self.hits} hits, {self.misses} misses"
 
     def stats_dict(self) -> Dict[str, Any]:
         """Machine-readable counters (perf reports embed this)."""
         with self.lock:
             total = self.hits + self.misses
+            backend = self.backend
             return {
-                "entries": len(self.backend),
+                "entries": len(self),
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_rate": round(self.hits / total, 6) if total else 0.0,
                 "decoded_hits": self.decoded_hits,
                 "decoded_entries": len(self._decoded),
-                "backend": type(self.backend).__name__,
-                "backend_stats": self.backend.stats.to_dict(),
+                "backend": type(backend).__name__ if backend is not None else None,
+                "backend_stats": (
+                    backend.stats.to_dict() if backend is not None else None
+                ),
             }
 
 
@@ -773,11 +764,10 @@ class Explorer:
         sessions use it).
     workers:
         Process-parallelism for batch evaluation.  1 (the default) stays
-        in-process and also caches full :class:`PmmResult` objects.
-        With ``workers=N`` the explorer owns a lazily-created,
-        **persistent** process pool, reused across :meth:`evaluate_many`
-        calls and strategy steps; release it with :meth:`close` or by
-        using the explorer as a context manager.
+        in-process.  With ``workers=N`` the explorer owns a
+        lazily-created, **persistent** process pool, reused across
+        :meth:`evaluate_many` calls and strategy steps; release it with
+        :meth:`close` or by using the explorer as a context manager.
     min_parallel_batch:
         Miss batches smaller than this run serially even when
         ``workers > 1`` — tiny sweeps never pay pool spin-up.  Once the
@@ -793,11 +783,6 @@ class Explorer:
         across machines; an optional ``/local/dir`` path suffix adds a
         read-through fallback for server outages).  A private in-memory
         cache is created when omitted.
-    cache_format:
-        Shard format (``"compact"``/``"json"``) forwarded wherever the
-        ``cache`` argument builds a
-        :class:`~repro.explore.cache.DiskCache`; invalid with backends
-        that have no disk store to configure.
     on_error:
         ``"raise"`` (default) propagates oracle failures; ``"skip"``
         drops infeasible points from the batch instead, recording them
@@ -822,7 +807,6 @@ class Explorer:
         workers: int = 1,
         min_parallel_batch: int = DEFAULT_MIN_PARALLEL_BATCH,
         cache: Union[None, str, Path, CacheBackend, EvaluationCache] = None,
-        cache_format: Optional[str] = None,
         area_weight: float = DEFAULT_AREA_WEIGHT,
         seed: int = 0,
         on_error: str = "raise",
@@ -838,20 +822,11 @@ class Explorer:
         self.workers = workers
         self.min_parallel_batch = min_parallel_batch
         if isinstance(cache, EvaluationCache):
-            if cache_format is not None:
-                raise ValueError(
-                    "cache_format cannot be combined with a shared "
-                    "EvaluationCache; its backend already owns the format"
-                )
             self.cache = cache
-        elif isinstance(cache, str):
-            # Strings (paths and remote:// URLs alike) go through the
-            # facade so its remote-URL handling applies.
-            self.cache = EvaluationCache(cache, format=cache_format)
+        elif isinstance(cache, (str, Path)):
+            self.cache = EvaluationCache(cache)
         else:
-            self.cache = EvaluationCache(
-                backend=resolve_backend(cache, format=cache_format)
-            )
+            self.cache = EvaluationCache(backend=cache)
         self.area_weight = area_weight
         self.seed = seed
         self.on_error = on_error
@@ -933,23 +908,15 @@ class Explorer:
         cls,
         name: str,
         constraints: Optional[Any] = None,
-        *,
-        precompiled: Optional[bool] = None,
         **kwargs,
     ) -> "Explorer":
         """An explorer over a registered workload's default space.
 
         ``Explorer.for_app("cavity", workers=4)`` is the one-liner from
         registry to sweep; keyword arguments pass through to the
-        constructor.  ``precompiled`` is forwarded to
-        :meth:`DesignSpace.for_app` — a compiled spacecache artifact
-        (see :mod:`repro.explore.spacecache`) warms the space instantly
-        instead of rebuilding variant programs.
+        constructor.
         """
-        return cls(
-            DesignSpace.for_app(name, constraints, precompiled=precompiled),
-            **kwargs,
-        )
+        return cls(DesignSpace.for_app(name, constraints), **kwargs)
 
     # ------------------------------------------------------------------
     # Request resolution
@@ -972,47 +939,23 @@ class Explorer:
     # ------------------------------------------------------------------
     # Fingerprints (incremental hot path)
     # ------------------------------------------------------------------
-    def fingerprint_point(self, point: DesignPoint, request: PmmRequest) -> str:
-        """The point's content address via memoized invariant fragments.
-
-        Byte-identical to ``fingerprint_request(request)`` — the
-        canonical program/library JSON is simply cached on the design
-        space instead of recomputed per point, so a warm sweep pays
-        only the per-point knob digest.
-        """
-        if self.space is None:
-            return fingerprint_request(request)
-        return fingerprint_from_parts(
-            self.space.fingerprint_program_json(point.variant),
-            self.space.fingerprint_library_json(point.library),
-            cycle_budget=request.cycle_budget,
-            frame_time_s=request.frame_time_s,
-            n_onchip=request.n_onchip,
-            area_weight=request.area_weight,
-            seed=request.seed,
-        )
-
     def fingerprint_points(self, points: Sequence[DesignPoint]) -> List[str]:
         """Content addresses for a whole batch in one assembly pass.
 
-        Byte-identical to :meth:`fingerprint_point` per point, but the
-        batch shares everything shareable: the canonical program and
-        library fragments are fetched **once per distinct axis value**
-        (not per point), the knob segments — area weight, frame time,
-        seed, each distinct cycle budget and on-chip count — are
-        serialized once, and each point then pays one string join plus
-        one SHA-256.  No :class:`PmmRequest` (or any other per-point
-        object) is constructed.
-
-        When the space carries a precomputed fingerprint table (the
-        spacecache load path) and this explorer's knobs match it, a
-        point resolves to one dictionary probe; coordinates outside the
-        table fall back to live assembly within the same pass.
+        The one fingerprint path for design points: byte-identical to
+        :func:`~repro.explore.fingerprint.fingerprint_request` over
+        :meth:`request_for` per point, but the batch shares everything
+        shareable.  The canonical program and library fragments are
+        fetched **once per distinct axis value** (not per point), the
+        knob segments — area weight, frame time, seed, each distinct
+        cycle budget and on-chip count — are serialized once, and each
+        point then pays one string join plus one SHA-256.  No
+        :class:`PmmRequest` (or any other per-point object) is
+        constructed.
         """
         space = self.space
         if space is None:
             raise ValueError("explorer has no design space")
-        table = space.precomputed_fingerprints(self.area_weight, self.seed)
         dumps = json.dumps
         sha256 = hashlib.sha256
         prefix = (
@@ -1026,18 +969,6 @@ class Explorer:
         program_json: Dict[str, str] = {}
         fingerprints: List[str] = []
         for point in points:
-            if table is not None:
-                cached = table.get(
-                    (
-                        point.variant,
-                        point.budget_fraction,
-                        point.n_onchip,
-                        point.library,
-                    )
-                )
-                if cached is not None:
-                    fingerprints.append(cached)
-                    continue
             budget = budget_txt.get(point.budget_fraction)
             if budget is None:
                 budget = budget_txt[point.budget_fraction] = dumps(
@@ -1284,11 +1215,15 @@ class Explorer:
         items: Sequence[Tuple[str, PmmRequest]],
         computed: Dict[str, CostReport],
     ) -> None:
-        """The in-process miss path (also the pool-loss recovery path)."""
+        """The in-process miss path (also the pool-loss recovery path).
+
+        Only reports are kept: full :class:`PmmResult`\\ s are pinned
+        by :meth:`evaluate_program` alone, the path that returns them.
+        """
         for fingerprint, request in items:
             start = time.perf_counter()
             try:
-                result = request.run()
+                report = request.run().report
             except Exception as exc:
                 if self.on_error == "raise":
                     raise
@@ -1297,8 +1232,8 @@ class Explorer:
                 )
                 continue
             seconds = time.perf_counter() - start
-            self.cache.store(fingerprint, result.report, result)
-            computed[fingerprint] = result.report
+            self.cache.store(fingerprint, report)
+            computed[fingerprint] = report
             self._seconds[fingerprint] = seconds
 
     def _known_error(self, fingerprint: str) -> Optional[str]:
@@ -1330,9 +1265,10 @@ class Explorer:
     ) -> Tuple[ExplorationRecord, PmmResult]:
         """Ad-hoc evaluation of a bare program (the session path).
 
-        Returns the full :class:`PmmResult`; on a cache hit whose result
-        object was not retained (parallel or persisted entries keep only
-        the report), the oracle re-runs — deterministically identical.
+        Returns the full :class:`PmmResult`, pinned in the cache for
+        later calls; on a cache hit with no pinned result (batch
+        evaluations and persisted entries keep only the report), the
+        oracle re-runs — deterministically identical.
         """
         if library is None:
             # One shared default-library instance per explorer keeps the
@@ -1370,7 +1306,7 @@ class Explorer:
             result = request.run()
             seconds = time.perf_counter() - start
             if hit:
-                # A report-only hit (parallel or disk entry): keep the
+                # A report-only hit (batch or disk entry): keep the
                 # recomputed result so later callers get it for free
                 # (LRU-bounded exactly like a stored one).
                 self.cache.store_result(fingerprint, result)

@@ -11,18 +11,18 @@ Two construction paths produce **byte-identical** fingerprints:
   re-canonicalizes the entire request every call.  Simple, stateless,
   and the ground truth the compatibility tests pin the incremental
   path against.
-* :func:`fingerprint_from_parts` — the incremental hot path: the
-  expensive canonical-JSON fragments (program and library — everything
-  that is invariant across a sweep) are computed **once** per
-  ``(variant, library)`` pair and memoized on the
-  :class:`~repro.explore.space.DesignSpace` /
-  :class:`~repro.explore.engine.Explorer`; each design point then only
-  pays a tiny knob digest (budget, ``n_onchip``, ``area_weight``,
-  seed) plus one hash over the assembled blob.
+* :func:`fingerprint_from_parts` — the incremental path: the expensive
+  canonical-JSON fragments (program and library — everything that is
+  invariant across a sweep) are computed **once** per object
+  (:func:`cached_canonical_json`); each evaluation then only pays a
+  tiny knob digest (budget, ``n_onchip``, ``area_weight``, seed) plus
+  one hash over the assembled blob.  The explorer's batched
+  :meth:`~repro.explore.engine.Explorer.fingerprint_points` splices
+  the same fragments for whole design-point batches.
 
-Because both paths hash the same serialized payload, existing
+Because every path hashes the same serialized payload, existing
 :class:`~repro.explore.cache.DiskCache` directories and golden files
-stay valid across the switch.
+stay valid.
 """
 
 from __future__ import annotations
@@ -173,23 +173,6 @@ def clear_fragment_memo() -> None:
     revalidates by identity and is LRU-bounded.
     """
     _FRAGMENTS.clear()
-
-
-def seed_fragment(value: Any, text: str) -> None:
-    """Install a precomputed canonical-JSON fragment for an object.
-
-    The spacecache load path (:mod:`repro.explore.spacecache`) carries
-    the canonical program/library JSON inside the compiled artifact;
-    seeding it here means a loaded space never re-canonicalizes what
-    the compile step already paid for.  Entries obey the same identity
-    revalidation and LRU bound as organically computed ones — a seeded
-    fragment for a replaced object simply misses.
-    """
-    key = id(value)
-    _FRAGMENTS[key] = (value, text)
-    _FRAGMENTS.move_to_end(key)
-    while len(_FRAGMENTS) > FRAGMENT_MEMO_ENTRIES:
-        _FRAGMENTS.popitem(last=False)
 
 
 def canonical_json(value: Any) -> str:

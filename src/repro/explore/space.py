@@ -43,10 +43,6 @@ from .fingerprint import cached_canonical_json
 #: Name of the implicit library axis entry when none is declared.
 DEFAULT_LIBRARY = "default"
 
-#: Axis coordinates of one point, as keyed by the precomputed
-#: fingerprint table: (variant, budget_fraction, n_onchip, library).
-PointKey = Tuple[str, float, Optional[int], str]
-
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -131,39 +127,24 @@ class DesignSpace:
         if not self.libraries:
             self.libraries = {DEFAULT_LIBRARY: default_library()}
         self._programs: Dict[str, Program] = {}
-        # Precomputed point fingerprints (installed by the spacecache
-        # load path); None until install_fingerprint_table.
-        self._fingerprint_table: Optional[Dict[PointKey, str]] = None
-        self._fingerprint_knobs: Optional[Tuple[float, int]] = None
 
     # ------------------------------------------------------------------
     # Registry lookup
     # ------------------------------------------------------------------
     @classmethod
-    def for_app(
-        cls,
-        name: str,
-        constraints: Optional[Any] = None,
-        *,
-        precompiled: Optional[bool] = None,
-    ) -> "DesignSpace":
+    def for_app(cls, name: str, constraints: Optional[Any] = None) -> "DesignSpace":
         """The default design space of a registered workload.
 
         ``DesignSpace.for_app("wavelet")`` resolves ``name`` through the
         workload registry (:mod:`repro.apps.registry`) and returns the
         app's declared space — variants, budget fractions, allocation
         counts and libraries — at its default (or the given)
-        constraints.  ``precompiled`` controls the spacecache
-        (:mod:`repro.explore.spacecache`): ``None`` loads a compiled
-        artifact opportunistically when a fresh one exists, ``False``
-        always builds live, ``True`` requires the artifact path to be
-        attempted (still falling back to a live build when the artifact
-        is missing or stale — a wrong space is never served).
+        constraints.
         """
         from .. import apps  # noqa: F401 - importing registers built-ins
         from ..apps.registry import get_app
 
-        return get_app(name).space(constraints, precompiled=precompiled)
+        return get_app(name).space(constraints)
 
     # ------------------------------------------------------------------
     # Axis construction
@@ -185,14 +166,10 @@ class DesignSpace:
             build = lambda: program  # noqa: E731 - trivial thunk
         variant = ProgramVariant(name=name, build=build, description=description)
         self.variants.append(variant)
-        # A grown axis invalidates any precomputed fingerprint table:
-        # the assembly path recomputes from live fragments instead.
-        self._fingerprint_table = None
         return variant
 
     def add_library(self, name: str, library: MemoryLibrary) -> None:
         self.libraries[name] = library
-        self._fingerprint_table = None
 
     # ------------------------------------------------------------------
     # Axis lookup
@@ -243,38 +220,6 @@ class DesignSpace:
         invalidates the memoized fragment automatically.
         """
         return cached_canonical_json(self.library(name))
-
-    def install_fingerprint_table(
-        self,
-        table: Mapping[PointKey, str],
-        *,
-        area_weight: float,
-        seed: int,
-    ) -> None:
-        """Install precomputed point fingerprints (the spacecache path).
-
-        ``table`` maps axis coordinates — ``(variant, budget_fraction,
-        n_onchip, library)`` — to the content address an explorer with
-        the given ``area_weight``/``seed`` knobs would compute.  The
-        engine's batched assembly
-        (:meth:`~repro.explore.engine.Explorer.fingerprint_points`)
-        consults it before assembling anything; points outside the
-        table (ad-hoc coordinates) fall back to live assembly, and any
-        later axis mutation drops the table entirely — a stale entry
-        can never be served.
-        """
-        self._fingerprint_table = dict(table)
-        self._fingerprint_knobs = (float(area_weight), int(seed))
-
-    def precomputed_fingerprints(
-        self, area_weight: float, seed: int
-    ) -> Optional[Mapping[PointKey, str]]:
-        """The installed fingerprint table, iff the knobs match it."""
-        if self._fingerprint_table is None:
-            return None
-        if self._fingerprint_knobs != (float(area_weight), int(seed)):
-            return None
-        return self._fingerprint_table
 
     def effective_budget(self, fraction: float) -> float:
         """The paper's budget scaling: partial budgets truncate to int."""
@@ -396,14 +341,8 @@ class DesignSpace:
             libraries={name: self.library(name) for name in library_names},
             description=self.description,
         )
-        # Share built programs so variant thunks never rebuild, and
-        # keep the fingerprint table where the knob axes are intact
-        # (the table maps per-point coordinates, so a subset of points
-        # stays valid).
+        # Share built programs so variant thunks never rebuild.
         sub._programs = self._programs
-        if self._fingerprint_table is not None:
-            sub._fingerprint_table = self._fingerprint_table
-            sub._fingerprint_knobs = self._fingerprint_knobs
         return sub
 
     def __len__(self) -> int:

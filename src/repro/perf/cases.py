@@ -47,19 +47,14 @@ the per-sweep completion latency lands in the report as p50/p95/p99.
 The 2-client ``service_concurrent_clients_quick`` variant carries the
 ``quick`` tag for the CI gate; the 8-client case is ``full``-tagged.
 
-Two cases cover the ahead-of-time space compile
-(:mod:`repro.explore.spacecache`): ``space_compile_cold_start``
-measures btpc space-ready latency from a cold process — compiled
-artifact load vs live build, asserting the >= 3x contract — and
 ``service_first_result_latency`` times a service restart over a warm
-disk corpus plus a compiled cavity space until the first record
-reaches a streaming client.
+disk corpus — cavity's space built live in the fresh process — until
+the first record reaches a streaming client.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import shutil
 import tempfile
 import time
@@ -76,7 +71,6 @@ from ..api import (
     front_coverage,
     pareto_front,
 )
-from ..explore.cache import MemoryCache
 from .harness import CaseRun, PerfCase, register_case
 
 #: Workloads whose oracle is cheap enough for repeated timing.
@@ -395,13 +389,13 @@ def _frontier_vs_exhaustive(
 ) -> PerfCase:
     def run(_: Any) -> CaseRun:
         space = _densified_space(app, budget_fractions, onchip_counts)
-        with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
+        with Explorer(space, on_error="skip") as explorer:
             full = explorer.run(ExhaustiveSweep())
         reference = pareto_front([r.report for r in full.records])
         budget = SearchBudget(
             max_oracle_calls=max(1, math.floor(0.20 * full.oracle_calls))
         )
-        with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
+        with Explorer(space, on_error="skip") as explorer:
             frontier = explorer.explore(LinearFrontier(), budget=budget)
         coverage = front_coverage(
             reference, [r.report for r in frontier.records]
@@ -463,136 +457,51 @@ def _frontier_vs_exhaustive_btpc() -> PerfCase:
 
 
 # ----------------------------------------------------------------------
-# Precompiled spaces: cold-start and first-result latency
+# Service restart: first-result latency
 # ----------------------------------------------------------------------
 def _cold_process(app: str) -> None:
-    """Defeat every in-process warm layer a fresh process lacks.
+    """Defeat the in-process warm layers a fresh process lacks.
 
-    Three caches survive between repeats and would otherwise make the
-    "cold" measurement a lie: the registry's per-spec program cache,
-    the process-wide canonical-fragment memo, and the spacecache
-    payload memo.
+    Two caches survive between repeats and would otherwise make the
+    "cold" measurement a lie: the registry's per-spec program cache and
+    the process-wide canonical-fragment memo.
     """
     from ..apps.registry import get_app
-    from ..explore import spacecache
     from ..explore.fingerprint import clear_fragment_memo
 
     spec = get_app(app)
     if hasattr(spec, "_program_cache"):
         object.__delattr__(spec, "_program_cache")
     clear_fragment_memo()
-    spacecache.forget()
-
-
-def _space_compile_cold_start() -> PerfCase:
-    def setup() -> Dict[str, Any]:
-        from ..explore import spacecache
-
-        root = Path(tempfile.mkdtemp(prefix="repro-perf-spacecache-"))
-        spacecache.build("btpc", root=root)
-        return {"root": root}
-
-    def run(state: Dict[str, Any]) -> CaseRun:
-        from ..explore import spacecache
-
-        # Space-ready from cold, the live way: build every variant
-        # program (profiling runs and all) and fingerprint the space.
-        _cold_process("btpc")
-        start = time.perf_counter()
-        live = Explorer.for_app("btpc", precompiled=False)
-        live_fingerprints = live.fingerprint_points(live.space.points())
-        live_s = time.perf_counter() - start
-
-        # Space-ready from cold, the compiled way: rehydrate the
-        # artifact and fingerprint through the precomputed table.
-        _cold_process("btpc")
-        start = time.perf_counter()
-        space = spacecache.load_space("btpc", root=state["root"])
-        if space is None:
-            raise AssertionError("compiled btpc artifact failed to load")
-        loaded = Explorer(space)
-        loaded_fingerprints = loaded.fingerprint_points(space.points())
-        loaded_s = time.perf_counter() - start
-
-        if loaded_fingerprints != live_fingerprints:
-            raise AssertionError(
-                "compiled-then-loaded btpc fingerprints diverge from live build"
-            )
-        ratio = live_s / loaded_s if loaded_s > 0 else math.inf
-        if ratio < 3.0:
-            raise AssertionError(
-                f"compiled space-ready is only {ratio:.1f}x faster than a "
-                f"live build ({loaded_s * 1e3:.1f}ms vs {live_s * 1e3:.1f}ms); "
-                "expected >= 3x"
-            )
-        return CaseRun(
-            evals=0,
-            points=len(space),
-            cache={
-                "cold_start": {
-                    "live_build_ms": round(live_s * 1e3, 3),
-                    "compiled_load_ms": round(loaded_s * 1e3, 3),
-                    "speedup": round(ratio, 1),
-                }
-            },
-            notes=f"btpc space-ready {ratio:.0f}x faster from the compiled "
-            f"artifact ({loaded_s * 1e3:.1f}ms) than live ({live_s * 1e3:.0f}ms)",
-        )
-
-    def teardown(state: Any) -> None:
-        if state is not None:
-            shutil.rmtree(state["root"], ignore_errors=True)
-
-    return PerfCase(
-        name="space_compile_cold_start",
-        run=run,
-        setup=setup,
-        teardown=teardown,
-        tags=("quick", "spacecache"),
-        description="btpc space-ready latency from cold: compiled artifact "
-        "load vs live build (asserts >= 3x)",
-    )
 
 
 def _service_first_result_latency() -> PerfCase:
     def setup() -> Dict[str, Any]:
-        from ..explore import spacecache
-
         state_dir = Path(tempfile.mkdtemp(prefix="repro-perf-firstresult-"))
         warm = EvaluationCache(path=state_dir / "cache")
         Explorer.for_app("cavity", cache=warm, on_error="skip").run(ExhaustiveSweep())
-        spacecache.build("cavity", root=state_dir / "spaces")
         return {"dir": state_dir}
 
     def run(state: Dict[str, Any]) -> CaseRun:
-        from ..explore import spacecache
         from ..service import ServiceClient, ServiceConfig, ServiceThread
 
         _cold_process("cavity")
-        previous = os.environ.get(spacecache.ENV_DIR)
-        os.environ[spacecache.ENV_DIR] = str(state["dir"] / "spaces")
         first_s = None
+        # The restart path end to end: boot the service over the warm
+        # corpus and time until the first record reaches a streaming
+        # client — the live space build included.
+        start = time.perf_counter()
+        cache = EvaluationCache(path=state["dir"] / "cache")
+        server = ServiceThread(ServiceConfig(port=0), cache=cache).start()
         try:
-            # The restart path end to end: boot the service over the
-            # warm corpus and time until the first record reaches a
-            # streaming client — space rehydration included.
-            start = time.perf_counter()
-            cache = EvaluationCache(path=state["dir"] / "cache")
-            server = ServiceThread(ServiceConfig(port=0), cache=cache).start()
-            try:
-                with ServiceClient(*server.address) as client:
-                    events = []
-                    for event in client.sweep("cavity"):
-                        if first_s is None and event["type"] == "record":
-                            first_s = time.perf_counter() - start
-                        events.append(event)
-            finally:
-                server.stop()
+            with ServiceClient(*server.address) as client:
+                events = []
+                for event in client.sweep("cavity"):
+                    if first_s is None and event["type"] == "record":
+                        first_s = time.perf_counter() - start
+                    events.append(event)
         finally:
-            if previous is None:
-                os.environ.pop(spacecache.ENV_DIR, None)
-            else:
-                os.environ[spacecache.ENV_DIR] = previous
+            server.stop()
         if first_s is None:
             raise AssertionError("sweep streamed no records")
         if cache.misses:
@@ -607,7 +516,7 @@ def _service_first_result_latency() -> PerfCase:
             points=len(events) - 2,
             cache=stats,
             notes="service boot to first streamed record over a warm "
-            f"corpus and compiled cavity space: {first_s * 1e3:.1f}ms",
+            f"corpus: {first_s * 1e3:.1f}ms",
         )
 
     def teardown(state: Any) -> None:
@@ -619,9 +528,9 @@ def _service_first_result_latency() -> PerfCase:
         run=run,
         setup=setup,
         teardown=teardown,
-        tags=("quick", "service", "spacecache"),
-        description="service restart to first streamed record: warm disk "
-        "corpus plus a compiled cavity space",
+        tags=("quick", "service"),
+        description="service restart to first streamed record over a warm "
+        "disk corpus",
     )
 
 
@@ -747,7 +656,6 @@ def register_builtin_cases(replace: bool = False) -> None:
     register_case(_registry_sweep_warm_disk(), replace=replace)
     register_case(_registry_resweep_warm_decoded(), replace=replace)
     register_case(_registry_resweep_remote_warm(), replace=replace)
-    register_case(_space_compile_cold_start(), replace=replace)
     register_case(_service_first_result_latency(), replace=replace)
     register_case(
         _service_concurrent_clients(

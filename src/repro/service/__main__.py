@@ -92,28 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=(),
         help="apps to warm eagerly at startup",
     )
-    parser.add_argument(
-        "--precompile",
-        nargs="*",
-        metavar="APP",
-        default=None,
-        help="compile (or refresh) spacecache artifacts for these apps "
-        "at startup and warm through them; with no names, every "
-        "registered app (restarts then warm instantly)",
-    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    precompile_apps: tuple = ()
-    if args.precompile is not None:
-        if args.precompile:
-            precompile_apps = tuple(args.precompile)
-        else:
-            from ..apps.registry import list_apps
-
-            precompile_apps = list_apps()
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -125,7 +108,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_inflight_batches=args.max_inflight_batches,
         drain_seconds=args.drain_seconds,
         preload_apps=tuple(args.preload),
-        precompile_apps=precompile_apps,
     )
     service = SweepService(config)
     drained = asyncio.run(serve(service))

@@ -1,9 +1,10 @@
 """The async sweep server: exploration feedback as a shared service.
 
 One long-lived process owns a warm :class:`~repro.api.EvaluationCache`
-(decoded mirror + optional :class:`~repro.explore.cache.DiskCache`
-tiers) and one :class:`~repro.api.Explorer` per registered app, all
-sharing that cache.  Clients POST point-evaluation and sweep requests
+(decoded reports in memory, optionally backed by a
+:class:`~repro.explore.cache.DiskCache` or the network tier) and one
+:class:`~repro.api.Explorer` per registered app, all sharing that
+cache.  Clients POST point-evaluation and sweep requests
 over plain HTTP (stdlib only — ``asyncio.start_server`` plus a minimal
 HTTP/1.1 layer) and receive :class:`~repro.api.ExplorationRecord`\\ s
 back as an NDJSON stream, batch by batch, while the sweep is still
@@ -51,7 +52,6 @@ from typing import (
 )
 
 from ..apps.registry import get_app, list_apps
-from ..explore import spacecache
 from ..explore.cache import CacheBackend
 from ..explore.engine import EvaluationCache, ExplorationRecord, Explorer
 from ..explore.space import DesignPoint
@@ -117,10 +117,6 @@ class ServiceConfig:
     drain_seconds: float = 10.0
     #: Apps to warm eagerly at startup (explorer + space built).
     preload_apps: Tuple[str, ...] = ()
-    #: Apps whose spacecache artifact is ensured (compiled if missing
-    #: or stale) at startup, then preloaded through it — the next
-    #: restart of this service warms from the artifact instantly.
-    precompile_apps: Tuple[str, ...] = ()
 
     def knobs(self) -> Dict[str, Any]:
         """The admission/batching knobs, surfaced by ``/v1/stats``."""
@@ -197,11 +193,7 @@ class SweepService:
         self.records_served = 0
         self.failures_served = 0
         self.points_coalesced = 0
-        for app in config.precompile_apps:
-            # Compiled artifacts make the *next* restart warm instantly;
-            # this start loads through them too (ensure = load-or-build).
-            spacecache.ensure(app)
-        for app in dict.fromkeys(config.precompile_apps + config.preload_apps):
+        for app in dict.fromkeys(config.preload_apps):
             self.explorer(app)
 
     # ------------------------------------------------------------------
@@ -360,14 +352,29 @@ class SweepService:
     # ------------------------------------------------------------------
     def _prepare(
         self, explorer: Explorer, points: Sequence[DesignPoint]
-    ) -> List[_Prepared]:
-        """Fingerprint a batch (worker thread: builds programs/requests)."""
+    ) -> Tuple[List[_Prepared], Dict[str, Outcome]]:
+        """Fingerprint a batch and probe the shared cache for it.
+
+        Runs on a worker thread: it may build variant programs and wait
+        on the cache lock and backend.  Returns the prepared points plus
+        the cached outcomes (reports and known failures) by fingerprint,
+        with the report hits already credited; only the rest need the
+        single-flight table.
+        """
+        space = explorer.space
+        fingerprints = explorer.fingerprint_points(points)
+        names: Dict[str, str] = {}
         prepared: List[_Prepared] = []
-        for point in points:
-            request = explorer.request_for(point)
-            fingerprint = explorer.fingerprint_point(point, request)
-            prepared.append((point, fingerprint, request.program.name))
-        return prepared
+        for point, fingerprint in zip(points, fingerprints):
+            name = names.get(point.variant)
+            if name is None:
+                name = names[point.variant] = space.program(point.variant).name
+            prepared.append((point, fingerprint, name))
+        cached = self.cache.lookup_many(fingerprints)
+        self.cache.count_hits(
+            sum(1 for report, _ in cached.values() if report is not None)
+        )
+        return prepared, cached
 
     async def _evaluate_owned(
         self,
@@ -398,7 +405,7 @@ class SweepService:
                 outcome: Outcome = (record.report, None)
             else:
                 # Skipped by the explorer: the failure is negatively
-                # cached, and the decoded mirror serves it loop-cheap.
+                # cached, and the decoded tier serves it loop-cheap.
                 error = self.cache.get_error(fingerprint) or "evaluation failed"
                 outcome = (None, error)
             self._flight.resolve(fingerprint, outcome)
@@ -418,9 +425,17 @@ class SweepService:
         ``observe`` and charge oracle budgets — waiter and in-batch
         duplicate records carry ``cache_hit=True``, so coalesced points
         are never double-charged.
+
+        Points the cache already holds stream at once and never enter
+        the single-flight table: claiming them after another request
+        stored them would dispatch a redundant batch.  A point stored
+        between the probe and the claim can still be owned again; that
+        batch then resolves from cache with no oracle work.
         """
-        prepared = await asyncio.to_thread(self._prepare, explorer, batch)
-        owned, waited = self._flight.claim([fp for _, fp, _ in prepared])
+        prepared, cached = await asyncio.to_thread(self._prepare, explorer, batch)
+        owned, waited = self._flight.claim(
+            [fp for _, fp, _ in prepared if fp not in cached]
+        )
         owned_set = set(owned)
         first_for: Dict[str, DesignPoint] = {}
         for point, fingerprint, _ in prepared:
@@ -442,13 +457,14 @@ class SweepService:
         events: List[Dict[str, Any]] = []
         records: List[ExplorationRecord] = []
         for point, fingerprint, program_name in prepared:
-            if fingerprint in outcomes:
+            if fingerprint in cached:
+                report, error = cached[fingerprint]
+                record = None
+            elif fingerprint in outcomes:
                 (report, error), record = outcomes[fingerprint]
-                coalesced = False
             else:
                 report, error = await self._flight.wait(waited[fingerprint])
                 record = None
-                coalesced = True
                 summary.coalesced += 1
                 self.points_coalesced += 1
             if report is None:
@@ -457,9 +473,9 @@ class SweepService:
                 events.append(failure_event(point, error or "evaluation failed"))
                 continue
             if record is None or record.point is not point:
-                # A waiter, or an in-batch duplicate of the owned
-                # point: rebuild the record around *this* point's
-                # label; the oracle work happened exactly once.
+                # A cache hit, a waiter, or an in-batch duplicate of the
+                # owned point: rebuild the record around *this* point's
+                # label; the oracle work happened at most once.
                 label = point.display_label
                 record = ExplorationRecord(
                     point=point,
@@ -493,10 +509,10 @@ class SweepService:
         """The explorer a strategy run drives, restricted if asked.
 
         Axis restrictions build a per-request sub-space (sharing the
-        base space's programs and fingerprint table, so cache keys line
-        up with plain sweeps) wrapped in a private explorer over the
-        shared service cache; the second element is that explorer when
-        one was created, for the caller to close.
+        base space's programs, so cache keys line up with plain sweeps)
+        wrapped in a private explorer over the shared service cache; the
+        second element is that explorer when one was created, for the
+        caller to close.
         """
         if not any(
             (

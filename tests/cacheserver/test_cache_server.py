@@ -1,12 +1,14 @@
-"""The shared cache tier end to end: server, RemoteCache, tiering.
+"""The shared cache tier end to end: server, RemoteCache, bounded memo.
 
 Covers the acceptance scenarios for the network tier: two clients
 sharing one warm corpus with zero duplicate oracle evaluations,
-read-through fallback while the server is down, and a mixed-format
-(``.rpc`` + ``.json``) corpus served remotely byte-identically to
-local reads.
+read-through fallback while the server is down, a mixed-format
+(``.rpc`` + legacy ``.json``) corpus served remotely byte-identically
+to local reads, and a ``max_entries`` bound on a remote client's
+in-process memo.
 """
 
+import json
 import socket
 import threading
 
@@ -15,14 +17,15 @@ import pytest
 from repro.cacheserver import protocol
 from repro.cacheserver.server import CacheServerConfig, CacheServerThread
 from repro.costs.report import frame_length, pack_frame
+from repro.costs.report import CostReport
 from repro.explore import (
     DiskCache,
+    EvaluationCache,
     ExhaustiveSweep,
     ExplorationResult,
     Explorer,
     MemoryCache,
     RemoteCache,
-    TieredCache,
 )
 
 
@@ -348,14 +351,18 @@ class TestFallback:
 class TestMixedFormatCorpus:
     def test_remote_reads_match_local_reads(self, tmp_path):
         root = tmp_path / "corpus"
-        compact_writer = DiskCache(root, format="compact")
-        json_writer = DiskCache(root, format="json")
+        compact_writer = DiskCache(root)
         expected = {}
         for i in range(6):
+            key = f"key{i}"
             payload = {"i": i, "nested": {"vals": [i, i * 2.5]}}
-            writer = compact_writer if i % 2 == 0 else json_writer
-            writer.put(f"key{i}", payload)
-            expected[f"key{i}"] = payload
+            if i % 2 == 0:
+                compact_writer.put(key, payload)
+            else:  # a legacy shard, as pre-compact caches wrote them
+                shard = root / key[:2]
+                shard.mkdir(parents=True, exist_ok=True)
+                (shard / f"{key}.json").write_text(json.dumps(payload))
+            expected[key] = payload
 
         config = CacheServerConfig(host="127.0.0.1", port=0, cache_dir=root)
         with CacheServerThread(config) as srv:
@@ -366,35 +373,27 @@ class TestMixedFormatCorpus:
 
 
 # ----------------------------------------------------------------------
-# Tier composition
+# A bounded in-process memo in front of the network tier
 # ----------------------------------------------------------------------
-class TestTieredCache:
-    def test_promotion_and_write_through(self, server):
-        front = MemoryCache(max_entries=8)
-        remote = make_client(server)
-        tiered = TieredCache((front, remote))
-        assert tiered.max_entries == 8
-
-        tiered.put("k", {"v": 1})
-        assert remote.flush(timeout=10)
-        assert front.get("k") == {"v": 1}  # write-through hit the front
-
-        front.clear()
-        assert tiered.get("k") == {"v": 1}  # served by the remote tier
-        assert front.get("k") == {"v": 1}  # ... and promoted forward
-        tiered.close()
-
-    def test_front_tier_absorbs_repeat_probes(self, server):
-        remote = make_client(server)
-        tiered = TieredCache((MemoryCache(max_entries=8), remote))
-        tiered.put("k", {"v": 2})
-        assert remote.flush(timeout=10)
-        before = remote.stats.hits + remote.stats.misses
+class TestBoundedRemoteMemo:
+    def test_max_entries_bounds_the_decoded_tier(self, server):
+        cache = EvaluationCache(server.url, max_entries=2)
+        assert isinstance(cache.backend, RemoteCache)
+        assert cache.max_entries == 2
+        reports = {f"fp{i}": CostReport(label=f"r{i}") for i in range(4)}
+        cache.store_many(reports)
+        assert cache.flush(timeout=10)
+        # The bound holds in memory; the server keeps every entry.
+        assert cache.decoded_entries == 2
+        assert len(cache) == 4
+        # Repeat probes of a retained entry never cross the wire.
+        before = cache.backend.stats.hits + cache.backend.stats.misses
         for _ in range(5):
-            assert tiered.get("k") == {"v": 2}
-        assert remote.stats.hits + remote.stats.misses == before
-        tiered.close()
-
-    def test_empty_tiers_rejected(self):
-        with pytest.raises(ValueError):
-            TieredCache(())
+            assert cache.lookup("fp3")[0] is reports["fp3"]
+        assert cache.backend.stats.hits + cache.backend.stats.misses == before
+        # An evicted entry is fetched back from the server and decoded.
+        hits = cache.backend.stats.hits
+        assert cache.lookup("fp0")[0] == reports["fp0"]
+        assert cache.backend.stats.hits == hits + 1
+        assert cache.decoded_entries == 2
+        cache.close_backend()

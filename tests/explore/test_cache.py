@@ -22,12 +22,11 @@ from repro.api import (
     MemoryCache,
     ProgramBuilder,
 )
-from repro.costs.report import COMPACT_MAGIC
+from repro.costs.report import COMPACT_MAGIC, unpack_payload
 from repro.explore.cache import (
     COMPACT_SUFFIX,
     JSON_SUFFIX,
     RemoteCache,
-    TieredCache,
     parse_remote_url,
     resolve_backend,
 )
@@ -35,6 +34,14 @@ from repro.explore.cache import (
 
 def _payload(value: int) -> dict:
     return {"value": value}
+
+
+def _write_legacy(root: Path, key: str, payload: dict) -> Path:
+    """Write a legacy ``<key[:2]>/<key>.json`` shard, as old caches did."""
+    path = root / key[:2] / f"{key}{JSON_SUFFIX}"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -110,19 +117,6 @@ def test_disk_cache_shards_by_prefix(tmp_path):
     assert (tmp_path / "ef" / f"efgh{COMPACT_SUFFIX}").exists()
 
 
-def test_disk_cache_json_format_writes_legacy_shards(tmp_path):
-    cache = DiskCache(tmp_path, format="json")
-    cache.put("abcd", _payload(1))
-    path = tmp_path / "ab" / "abcd.json"
-    assert path.exists()
-    assert json.loads(path.read_text(encoding="utf-8")) == {"value": 1}
-
-
-def test_disk_cache_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        DiskCache(tmp_path, format="msgpack")
-
-
 def test_disk_cache_compact_records_carry_magic(tmp_path):
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
@@ -185,14 +179,15 @@ def test_disk_cache_clear_removes_sibling_shards_and_empty_dirs(tmp_path):
     refresh are cleared too, and emptied shard dirs are removed."""
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
-    sibling = DiskCache(tmp_path, format="json")
-    sibling.put("efgh", _payload(2))  # unknown to `cache` until a refresh
+    DiskCache(tmp_path).put("efgh", _payload(2))  # unknown to `cache` until a refresh
+    _write_legacy(tmp_path, "ijkl", _payload(3))
     cache.clear()
     assert len(cache) == 0
     assert sorted(tmp_path.iterdir()) == []  # no shard dirs left behind
     fresh = DiskCache(tmp_path)
     assert fresh.get("abcd") is None
     assert fresh.get("efgh") is None
+    assert fresh.get("ijkl") is None
 
 
 def test_disk_cache_refresh_orders_sibling_shards_by_mtime(tmp_path):
@@ -262,8 +257,8 @@ def test_disk_cache_lookup_many_tolerates_corrupt_shards(tmp_path):
 
 def test_disk_cache_lookup_many_mixed_format_directory(tmp_path):
     """Legacy JSON shards and compact records resolve side by side."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.store_many({"aaaa": _payload(1), "bbbb": _payload(2)})
+    _write_legacy(tmp_path, "aaaa", _payload(1))
+    _write_legacy(tmp_path, "bbbb", _payload(2))
     compact = DiskCache(tmp_path)
     compact.store_many({"cccc": _payload(3), "dddd": _payload(4)})
     fresh = DiskCache(tmp_path)
@@ -288,8 +283,7 @@ def test_disk_cache_corrupt_legacy_shard_in_mixed_directory(tmp_path):
     """A truncated legacy .json next to healthy compact records is
     tolerated exactly like a corrupt compact record, in get and in
     lookup_many, with the same stats accounting."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.put("aaaa", _payload(1))
+    _write_legacy(tmp_path, "aaaa", _payload(1))
     compact = DiskCache(tmp_path)
     compact.put("cccc", _payload(3))
     (tmp_path / "aa" / "aaaa.json").write_text("{truncated", encoding="utf-8")
@@ -299,9 +293,7 @@ def test_disk_cache_corrupt_legacy_shard_in_mixed_directory(tmp_path):
     assert fresh.stats.misses == 1
     assert fresh.stats.hits == 1
     assert not (tmp_path / "aa" / "aaaa.json").exists()
-    other = DiskCache(tmp_path, format="json")
-    other.put("bbbb", _payload(2))
-    (tmp_path / "bb" / "bbbb.json").write_text("[1, 2]", encoding="utf-8")
+    _write_legacy(tmp_path, "bbbb", _payload(2)).write_text("[1, 2]", encoding="utf-8")
     probe = DiskCache(tmp_path)
     assert probe.get("bbbb") is None
     assert probe.stats.corrupt == 1
@@ -311,8 +303,7 @@ def test_disk_cache_corrupt_shard_falls_back_to_healthy_sibling_format(tmp_path)
     """A corrupt record in one format must not destroy the entry when a
     healthy shard of the other format exists: only the bad file is
     discarded, and the probe still resolves."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.put("abcd", _payload(1))
+    _write_legacy(tmp_path, "abcd", _payload(1))
     bad = tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}"
     bad.write_bytes(COMPACT_MAGIC + b"\x01")  # truncated compact record
     fresh = DiskCache(tmp_path)  # indexes the newer (corrupt) shard first
@@ -326,10 +317,9 @@ def test_disk_cache_corrupt_shard_falls_back_to_healthy_sibling_format(tmp_path)
 
 
 def test_disk_cache_put_supersedes_other_format_shard(tmp_path):
-    """Rewriting an entry removes its other-format shard, so one key
+    """Rewriting an entry removes its legacy JSON shard, so one key
     can never be backed by two live files."""
-    legacy = DiskCache(tmp_path, format="json")
-    legacy.put("abcd", _payload(1))
+    _write_legacy(tmp_path, "abcd", _payload(1))
     compact = DiskCache(tmp_path)
     compact.put("abcd", _payload(2))
     assert not (tmp_path / "ab" / "abcd.json").exists()
@@ -368,9 +358,9 @@ def test_evaluation_cache_lookup_many_decodes_failures(tmp_path):
     assert "absent" not in resolved
 
 
-def test_evaluation_cache_bulk_falls_back_without_backend_hooks():
+def test_backend_without_bulk_hooks_is_rejected():
     class MinimalBackend:
-        """A protocol-minimal backend: no bulk hooks at all."""
+        """Only the per-key surface: no lookup_many/store_many."""
 
         def __init__(self):
             from repro.api import CacheStats
@@ -390,16 +380,12 @@ def test_evaluation_cache_bulk_falls_back_without_backend_hooks():
         def clear(self):
             self._entries.clear()
 
-    shared = EvaluationCache(backend=MinimalBackend())
-    shared.backend.put("good", {"label": "x", "memories": []})
-    resolved = shared.lookup_many(["good", "absent"])
-    assert set(resolved) == {"good"}
-    # store_many degrades to per-key puts.
-    from repro.costs.report import CostReport
-
-    report = CostReport.from_dict({"label": "y", "memories": []})
-    shared.store_many({"k1": report, "k2": report})
-    assert len(shared.backend) == 3
+    # The bulk hooks are protocol members: there is no per-key
+    # fallback for a backend to degrade to.
+    with pytest.raises(TypeError):
+        EvaluationCache(backend=MinimalBackend())
+    with pytest.raises(TypeError):
+        Explorer(cache=MinimalBackend())
 
 
 def test_negative_entries_round_trip_through_compact_format(tmp_path):
@@ -425,7 +411,7 @@ def test_negative_entries_round_trip_through_compact_format(tmp_path):
 # The decoded-report tier
 # ----------------------------------------------------------------------
 def test_decoded_tier_absorbs_repeat_probes():
-    shared = EvaluationCache()
+    shared = EvaluationCache(backend=MemoryCache())
     shared.backend.put("good", {"label": "x", "memories": []})
     first, _ = shared.lookup("good")
     assert shared.decoded_hits == 0
@@ -443,7 +429,7 @@ def test_decoded_tier_absorbs_repeat_probes():
 def test_decoded_tier_filled_by_stores():
     from repro.costs.report import CostReport
 
-    shared = EvaluationCache()
+    shared = EvaluationCache(backend=MemoryCache())
     report = CostReport(label="stored")
     shared.store("fp", report)
     looked, error = shared.lookup("fp")
@@ -451,7 +437,7 @@ def test_decoded_tier_filled_by_stores():
     assert shared.decoded_hits == 1
     assert shared.backend.stats.hits == 0  # never probed
 
-    bulk_cache = EvaluationCache()
+    bulk_cache = EvaluationCache(backend=MemoryCache())
     bulk_cache.store_many({"fp1": report, "fp2": report})
     resolved = bulk_cache.lookup_many(["fp1", "fp2"])
     assert resolved["fp1"][0] is report and resolved["fp2"][0] is report
@@ -459,10 +445,10 @@ def test_decoded_tier_filled_by_stores():
     assert bulk_cache.backend.stats.hits == 0
 
 
-def test_decoded_tier_shares_backend_bound():
+def test_decoded_tier_shares_backend_bound(tmp_path):
     from repro.costs.report import CostReport
 
-    shared = EvaluationCache(max_entries=2)
+    shared = EvaluationCache(tmp_path, max_entries=2)
     for index in range(4):
         shared.store(f"fp{index}", CostReport(label=f"r{index}"))
     assert shared.decoded_entries == 2
@@ -473,7 +459,7 @@ def test_decoded_tier_shares_backend_bound():
 
 
 def test_decoded_tier_cleared_with_cache():
-    shared = EvaluationCache()
+    shared = EvaluationCache(backend=MemoryCache())
     shared.backend.put("good", {"label": "x", "memories": []})
     shared.lookup("good")
     shared.lookup("good")
@@ -485,7 +471,7 @@ def test_decoded_tier_cleared_with_cache():
 
 
 def test_stats_dict_reports_decoded_tier():
-    shared = EvaluationCache()
+    shared = EvaluationCache(backend=MemoryCache())
     shared.backend.put("good", {"label": "x", "memories": []})
     shared.lookup("good")
     shared.lookup("good")
@@ -528,7 +514,7 @@ def test_store_result_keeps_first_pinned_result():
 # resolve_backend / EvaluationCache wiring
 # ----------------------------------------------------------------------
 def test_resolve_backend_variants(tmp_path):
-    assert isinstance(resolve_backend(None), MemoryCache)
+    assert resolve_backend(None) is None  # the decoded tier is the memo
     assert isinstance(resolve_backend(tmp_path / "c"), DiskCache)
     backend = MemoryCache()
     assert resolve_backend(backend) is backend
@@ -642,33 +628,16 @@ def test_resolve_backend_remote_variants(tmp_path):
     assert backend.fallback is None
     backend.close(timeout=0.1)
 
-    tiered = resolve_backend("remote://127.0.0.1:1", max_entries=16)
-    assert isinstance(tiered, TieredCache)
-    assert isinstance(tiered.tiers[0], MemoryCache)
-    assert isinstance(tiered.tiers[1], RemoteCache)
-    assert tiered.max_entries == 16
-    tiered.close()
+    # The bound belongs to the caller's in-process memo, not the backend.
+    bounded = resolve_backend("remote://127.0.0.1:1", max_entries=16)
+    assert isinstance(bounded, RemoteCache)
+    bounded.close(timeout=0.1)
 
     root = tmp_path / "fb"
-    with_fallback = resolve_backend(f"remote://127.0.0.1:1{root}", format="json")
+    with_fallback = resolve_backend(f"remote://127.0.0.1:1{root}")
     assert isinstance(with_fallback.fallback, DiskCache)
-    assert with_fallback.fallback.format == "json"
+    assert with_fallback.fallback.root == root
     with_fallback.close(timeout=0.1)
-
-    # format needs a disk store to configure.
-    with pytest.raises(ValueError):
-        resolve_backend("remote://127.0.0.1:1", format="json")
-    with pytest.raises(ValueError):
-        resolve_backend(None, format="json")
-    with pytest.raises(ValueError):
-        resolve_backend(MemoryCache(), format="json")
-
-
-def test_resolve_backend_forwards_format_to_disk(tmp_path):
-    backend = resolve_backend(tmp_path / "c", format="json")
-    backend.put("k", _payload(1))
-    (shard,) = [p for p in (tmp_path / "c").rglob("k*") if p.is_file()]
-    assert shard.suffix == JSON_SUFFIX
 
 
 def test_evaluation_cache_remote_url_passthrough():
@@ -678,62 +647,44 @@ def test_evaluation_cache_remote_url_passthrough():
     cache.close_backend()
 
 
-def test_evaluation_cache_forwards_format(tmp_path):
-    cache = EvaluationCache(tmp_path / "c", format="json")
-    assert cache.backend.format == "json"
-
-
-def test_explorer_cache_format_plumbing(tmp_path):
-    explorer = Explorer(cache=str(tmp_path / "c"), cache_format="json")
-    assert explorer.cache.backend.format == "json"
-    with pytest.raises(ValueError):
-        Explorer(cache=EvaluationCache(), cache_format="json")
-    with pytest.raises(ValueError):
-        Explorer(cache_format="json")  # in-memory backend, no format
-
-
 # ----------------------------------------------------------------------
-# TieredCache over local tiers (no server needed)
+# One in-process memo: the decoded tier
 # ----------------------------------------------------------------------
-def test_tiered_cache_promotes_and_writes_through(tmp_path):
-    front = MemoryCache(max_entries=4)
-    back = DiskCache(tmp_path / "c")
-    tiered = TieredCache((front, back))
+def test_memory_only_cache_holds_one_entry_per_fingerprint():
+    """Without a backend the decoded tier is the whole memo: one entry
+    per fingerprint, whatever mix of reports and failures it holds."""
+    from repro.costs.report import CostReport
 
-    tiered.put("k", _payload(1))
-    assert front.get("k") == _payload(1)
-    assert back.get("k") == _payload(1)
-
-    front.clear()
-    assert tiered.get("k") == _payload(1)  # back tier answers...
-    assert front.get("k") == _payload(1)  # ...and the hit is promoted
-
-    assert len(tiered) == 1  # deepest tier is authoritative
-    assert tiered.stats.hits == 1
-
-
-def test_tiered_cache_lookup_many_merges_tiers(tmp_path):
-    front = MemoryCache()
-    back = DiskCache(tmp_path / "c")
-    back.put("deep", _payload(1))
-    tiered = TieredCache((front, back))
-    front.put("shallow", _payload(2))
-
-    found = tiered.lookup_many(["shallow", "deep", "absent"])
-    assert found == {"shallow": _payload(2), "deep": _payload(1)}
-    assert tiered.stats.hits == 2
-    assert tiered.stats.misses == 1
-    assert front.get("deep") == _payload(1)  # promoted by the bulk path
+    shared = EvaluationCache()
+    assert shared.backend is None
+    report = CostReport(label="r")
+    shared.store("fp1", report)
+    shared.store("fp1", report)  # a re-store is the same entry
+    shared.store_many({"fp2": report, "fp3": report})
+    shared.store_failure("bad", "infeasible corner")
+    assert len(shared) == shared.decoded_entries == 4
+    assert shared.lookup_many(["fp1", "fp2", "bad", "absent"]) == {
+        "fp1": (report, None),
+        "fp2": (report, None),
+        "bad": (None, "infeasible corner"),
+    }
+    stats = shared.stats_dict()
+    assert stats["entries"] == stats["decoded_entries"] == 4
+    assert stats["backend"] is None
+    assert shared.flush() is True
+    shared.close_backend()  # no backend to release: a no-op
+    shared.clear()
+    assert len(shared) == 0
 
 
-def test_tiered_cache_clear_clears_all_tiers(tmp_path):
-    front = MemoryCache()
-    back = DiskCache(tmp_path / "c")
-    tiered = TieredCache((front, back))
-    tiered.put("k", _payload(1))
-    tiered.clear()
-    assert len(front) == 0
-    assert len(back) == 0
+def test_serial_evaluate_many_pins_no_results():
+    """Batch evaluation keeps reports only: full PmmResults (schedules,
+    conflict graphs) are pinned by evaluate_program alone."""
+    explorer = Explorer(_space(), on_error="skip")
+    records = explorer.evaluate_many(explorer.space.points())
+    assert records and not any(record.cache_hit for record in records)
+    assert len(explorer.cache.results) == 0
+    assert explorer.cache.decoded_entries == len(records)
 
 
 # ----------------------------------------------------------------------
@@ -899,18 +850,21 @@ def test_disk_cache_warm_start_across_processes(tmp_path):
 
 def test_preexisting_json_cache_dir_stays_warm_under_compact(tmp_path):
     """The migration guarantee: a cache directory written entirely in
-    the legacy JSON format is read by the compact-default codec with
-    zero oracle re-evaluations."""
-    cache_dir = tmp_path / "cache"
-    legacy = Explorer(
-        _space(), cache=EvaluationCache(backend=DiskCache(cache_dir, format="json"))
-    )
-    legacy.run(ExhaustiveSweep())
-    assert legacy.cache.misses == 4
-    assert len(sorted(cache_dir.rglob("*.json"))) == 4
+    the legacy JSON format — or mixing legacy shards with compact
+    records — re-sweeps with zero oracle re-evaluations."""
+    for every in (1, 2):  # all shards legacy, then every other one
+        cache_dir = tmp_path / f"cache{every}"
+        first = Explorer(_space(), cache=cache_dir)
+        first.run(ExhaustiveSweep())
+        assert first.cache.misses == 4
+        for path in sorted(cache_dir.rglob(f"*{COMPACT_SUFFIX}"))[::every]:
+            payload = unpack_payload(path.read_bytes())
+            _write_legacy(cache_dir, path.stem, payload)
+            path.unlink()
+        assert len(sorted(cache_dir.rglob(f"*{JSON_SUFFIX}"))) == 4 // every
 
-    modern = Explorer(_space(), cache=cache_dir)  # compact-default DiskCache
-    modern.run(ExhaustiveSweep())
-    assert modern.cache.misses == 0
-    assert modern.cache.hits == 4
-    assert modern.cache.backend.stats.corrupt == 0
+        modern = Explorer(_space(), cache=cache_dir)
+        modern.run(ExhaustiveSweep())
+        assert modern.cache.misses == 0
+        assert modern.cache.hits == 4
+        assert modern.cache.backend.stats.corrupt == 0

@@ -15,6 +15,7 @@ from repro.api import (
     BudgetState,
     CostReport,
     DesignSpace,
+    EvaluationCache,
     ExhaustiveSweep,
     ExplorationRecord,
     ExplorationResult,
@@ -26,7 +27,6 @@ from repro.api import (
     SearchBudget,
     SearchStrategy,
 )
-from repro.explore.cache import MemoryCache
 from repro.memlib.module import MemoryKind
 
 
@@ -56,8 +56,7 @@ def _fir_space(**axes):
 
 
 def _explorer(space=None):
-    return Explorer(space if space is not None else _fir_space(),
-                    cache=MemoryCache(), on_error="skip")
+    return Explorer(space if space is not None else _fir_space(), on_error="skip")
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +136,7 @@ class TestDriverBudgets:
 
     def test_warm_cache_completes_under_oracle_budget(self):
         space = _fir_space()
-        cache = MemoryCache()
+        cache = EvaluationCache()
         with Explorer(space, cache=cache, on_error="skip") as explorer:
             explorer.run(ExhaustiveSweep())
         with Explorer(space, cache=cache, on_error="skip") as explorer:
@@ -217,7 +216,7 @@ class TestDriverBudgets:
 
     def test_run_shim_matches_explore(self):
         space = _fir_space()
-        cache = MemoryCache()
+        cache = EvaluationCache()
         with Explorer(space, cache=cache, on_error="skip") as explorer:
             via_run = explorer.run(ExhaustiveSweep())
         with Explorer(space, cache=cache, on_error="skip") as explorer:

@@ -1,9 +1,11 @@
 """Incremental fingerprinting: byte-compatibility and memoization.
 
-The incremental path (invariant program/library fragments + per-point
-knob digest) must produce fingerprints byte-identical to the monolithic
-``fingerprint_request`` reference — that is what keeps existing
-``DiskCache`` directories and golden files valid.
+The incremental paths (invariant program/library fragments + per-point
+knob digest) — the explorer's batched ``fingerprint_points`` and the
+spaceless ``fingerprint_from_parts`` — must produce fingerprints
+byte-identical to the monolithic ``fingerprint_request`` reference:
+that is what keeps existing ``DiskCache`` directories and golden files
+valid.
 """
 
 import pytest
@@ -16,7 +18,7 @@ from repro.api import (
     list_apps,
 )
 from repro.explore import fingerprint as fingerprint_module
-from repro.explore.fingerprint import canonical_json
+from repro.explore.fingerprint import cached_canonical_json, canonical_json
 from repro.memlib.library import default_library
 
 
@@ -29,11 +31,9 @@ def test_incremental_fingerprints_match_reference_for_app(app):
     explorer = Explorer.for_app(app)
     points = explorer.space.points()
     assert points
-    for point in points:
-        request = explorer.request_for(point)
-        assert explorer.fingerprint_point(point, request) == fingerprint_request(
-            request
-        )
+    assert explorer.fingerprint_points(points) == [
+        fingerprint_request(explorer.request_for(point)) for point in points
+    ]
 
 
 def test_fingerprint_from_parts_matches_reference_on_edge_knobs():
@@ -41,11 +41,22 @@ def test_fingerprint_from_parts_matches_reference_on_edge_knobs():
     space = DesignSpace("edge", cycle_budget=12_345.678, frame_time_s=1e-3)
     space.add_variant("v", build=_tiny_program)
     explorer = Explorer(space, area_weight=0.125, seed=7)
-    for n_onchip in (None, 0, 3):
-        point = space.point("v", n_onchip=n_onchip)
+    points = [space.point("v", n_onchip=n_onchip) for n_onchip in (None, 0, 3)]
+    for point, batched in zip(points, explorer.fingerprint_points(points)):
         request = explorer.request_for(point)
-        assert explorer.fingerprint_point(point, request) == fingerprint_request(
-            request
+        reference = fingerprint_request(request)
+        assert batched == reference
+        assert (
+            fingerprint_from_parts(
+                cached_canonical_json(request.program),
+                cached_canonical_json(request.library),
+                cycle_budget=request.cycle_budget,
+                frame_time_s=request.frame_time_s,
+                n_onchip=request.n_onchip,
+                area_weight=request.area_weight,
+                seed=request.seed,
+            )
+            == reference
         )
 
 
@@ -84,10 +95,8 @@ def test_sweep_canonicalizes_each_variant_once(monkeypatch):
     explorer = Explorer(space)
     points = space.points()
     assert len(points) == 4
-    for point in points:
-        explorer.fingerprint_point(point, explorer.request_for(point))
-    for point in points:  # second sweep: fully memoized
-        explorer.fingerprint_point(point, explorer.request_for(point))
+    explorer.fingerprint_points(points)
+    explorer.fingerprint_points(points)  # second sweep: fully memoized
     # One canonicalization per variant plus one per library — never per
     # point, never per sweep.
     expected = len(space.variants) + len(space.libraries)
@@ -99,8 +108,7 @@ def test_fresh_spaces_share_registry_program_fragments(monkeypatch):
     over the same app re-fingerprints without recanonicalizing any
     program — the process-wide fragment memo serves them."""
     warm = Explorer.for_app("motion")
-    for point in warm.space.points():
-        warm.fingerprint_point(point, warm.request_for(point))
+    warm.fingerprint_points(warm.space.points())
 
     calls = []
     real = fingerprint_module.canonical_json
@@ -111,14 +119,10 @@ def test_fresh_spaces_share_registry_program_fragments(monkeypatch):
 
     monkeypatch.setattr(fingerprint_module, "canonical_json", counting)
     fresh = Explorer.for_app("motion")
-    reference = {}
-    for point in fresh.space.points():
-        request = fresh.request_for(point)
-        reference[point] = fingerprint_request(request)
+    points = fresh.space.points()
+    reference = [fingerprint_request(fresh.request_for(point)) for point in points]
     calls.clear()  # the reference path canonicalizes per request
-    for point in fresh.space.points():
-        request = fresh.request_for(point)
-        assert fresh.fingerprint_point(point, request) == reference[point]
+    assert fresh.fingerprint_points(points) == reference
     assert calls.count("Program") == 0
 
 
@@ -141,11 +145,11 @@ def test_direct_library_mutation_invalidates_memoized_fragment():
     space.add_variant("v", build=_tiny_program)
     explorer = Explorer(space)
     point = space.point("v")
-    before = explorer.fingerprint_point(point, explorer.request_for(point))
+    (before,) = explorer.fingerprint_points([point])
     library = default_library()
     library.offchip_word_threshold = 1024
     space.libraries["default"] = library  # direct mutation, not add_library
-    after = explorer.fingerprint_point(point, explorer.request_for(point))
+    (after,) = explorer.fingerprint_points([point])
     assert before != after
     assert after == fingerprint_request(explorer.request_for(point))
 
@@ -153,11 +157,7 @@ def test_direct_library_mutation_invalidates_memoized_fragment():
 def test_shared_fragment_memo_stays_bounded():
     """Sessions feeding a fresh program per call must not grow the
     process-wide fragment memo without limit."""
-    from repro.explore.fingerprint import (
-        _FRAGMENTS,
-        FRAGMENT_MEMO_ENTRIES,
-        cached_canonical_json,
-    )
+    from repro.explore.fingerprint import _FRAGMENTS, FRAGMENT_MEMO_ENTRIES
 
     keep = []
     for index in range(FRAGMENT_MEMO_ENTRIES * 3):

@@ -19,7 +19,6 @@ from repro.api import (
     front_coverage,
     pareto_front,
 )
-from repro.explore.cache import MemoryCache
 
 
 def _densified(app, budget_fractions, onchip_counts):
@@ -30,12 +29,12 @@ def _densified(app, budget_fractions, onchip_counts):
 
 
 def _exhaustive(space):
-    with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
+    with Explorer(space, on_error="skip") as explorer:
         return explorer.run(ExhaustiveSweep())
 
 
 def _frontier(space, budget):
-    with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
+    with Explorer(space, on_error="skip") as explorer:
         return explorer.explore(LinearFrontier(), budget=budget)
 
 
@@ -85,7 +84,7 @@ class TestLinearFrontierMechanics:
         space = _densified(
             "cavity", budget_fractions=(1.0, 0.9), onchip_counts=(None, 2)
         )
-        with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
+        with Explorer(space, on_error="skip") as explorer:
             result = explorer.explore(LinearFrontier())
         assert result.stopped == "completed"
         # Converged: every evaluated point is inside the space, nothing
@@ -105,7 +104,7 @@ class TestLinearFrontierMechanics:
         space = _densified(
             "cavity", budget_fractions=(1.0,), onchip_counts=(None,)
         )
-        with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
+        with Explorer(space, on_error="skip") as explorer:
             result = explorer.explore(LinearFrontier())
         seen = {record.point.variant for record in result.records}
         assert seen == set(space.variant_names)
@@ -124,7 +123,7 @@ class TestLinearFrontierMechanics:
             "cavity", budget_fractions=(1.0, 0.9), onchip_counts=(None, 2, 4)
         )
         snapshots = []
-        with Explorer(space, cache=MemoryCache(), on_error="skip") as explorer:
+        with Explorer(space, on_error="skip") as explorer:
             explorer.explore(LinearFrontier(), on_round=snapshots.append)
         assert snapshots
         assert [s.round for s in snapshots] == list(
@@ -137,7 +136,7 @@ class TestLinearFrontierMechanics:
         # Same contract as ExhaustiveSweep: a variant-less space is a
         # graceful no-op, not an error.
         space = DesignSpace("empty", cycle_budget=1000, frame_time_s=1e-3)
-        with Explorer(space, cache=MemoryCache()) as explorer:
+        with Explorer(space) as explorer:
             result = explorer.explore(LinearFrontier())
         assert result.stopped == "completed"
         assert result.records == []
