@@ -60,11 +60,7 @@ from .explore.engine import (
     SearchBudget,
     SearchDriver,
 )
-from .explore.fingerprint import (
-    canonical_json,
-    fingerprint_from_parts,
-    fingerprint_request,
-)
+from .explore.fingerprint import canonical_json, fingerprint_request
 from .explore.pareto import (
     dominates,
     front_coverage,
@@ -126,7 +122,6 @@ __all__ = [
     "canonical_json",
     "default_library",
     "dominates",
-    "fingerprint_from_parts",
     "fingerprint_request",
     "front_coverage",
     "get_app",

@@ -4,7 +4,7 @@ One long-lived server process owns a warm corpus (a sharded compact
 :class:`~repro.explore.cache.DiskCache`, or memory-only) and serves it
 over a compact length-prefixed binary protocol built on the ``.rpc``
 record codec.  Worker processes point
-``Explorer(cache="remote://host:port")`` at it and share every
+``Explorer(space, cache="remote://host:port")`` at it and share every
 evaluation they make; see :class:`~repro.explore.cache.RemoteCache`
 for the client side.
 

@@ -9,7 +9,7 @@ Examples::
     # printed on startup), LRU-bounded to 10k entries.
     PYTHONPATH=src python -m repro.cacheserver --port 0 --max-entries 10000
 
-Point workers at it with ``Explorer(cache="remote://host:port")`` (an
+Point workers at it with ``Explorer(space, cache="remote://host:port")`` (an
 optional ``remote://host:port/some/dir`` path adds a local read-through
 fallback), or front the sweep service with it via ``python -m
 repro.service --cache remote://host:port``.  The server drains on

@@ -7,7 +7,7 @@ when started with ``--cache DIR``, an in-memory
 any number of :class:`~repro.explore.cache.RemoteCache` clients over a
 compact length-prefixed binary protocol (:mod:`.protocol`), the same
 ``.rpc`` record codec the disk shards use.  Every worker process that
-points ``Explorer(cache="remote://host:port")`` here shares one warm
+points ``Explorer(space, cache="remote://host:port")`` here shares one warm
 corpus: a fingerprint evaluated by any client is a cache hit for all of
 them.
 

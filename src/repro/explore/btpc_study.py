@@ -18,9 +18,10 @@ exploration engine: the alternatives are variants of the declarative
 BTPC :class:`~repro.explore.space.DesignSpace` shared with the workload
 registry (:func:`~repro.apps.btpc.app.build_btpc_space`) and the walk
 itself is a :class:`~repro.explore.strategies.GreedyStepwise` strategy
-whose decisions are the paper's designer decisions.  The legacy
-:class:`~repro.explore.session.ExplorationSession` log is kept in sync
-so the exploration tree (Fig. 1) renders as before.
+whose decisions are the paper's designer decisions.  The walk logs
+every evaluated alternative and decision into an
+:class:`~repro.explore.session.ExplorationSession`, from which the
+exploration tree (Fig. 1) renders.
 
 Figures 1-3 are regenerated as text artifacts: the exploration tree with
 its cost feedback (Fig. 1), the structuring transforms' concrete effect
@@ -87,12 +88,7 @@ class BtpcStudy:
             self.constraints, self.profile, self.library
         )
         self.explorer = Explorer(self.space, workers=self.workers)
-        self.session = ExplorationSession(
-            cycle_budget=self.constraints.cycle_budget,
-            frame_time_s=self.constraints.frame_time_s,
-            library=self.library,
-            explorer=self.explorer,
-        )
+        self.session = ExplorationSession()
         self._outcomes: Dict[str, StepOutcome] = {}
 
     def hierarchy_alternative(self, name: str) -> Program:

@@ -5,12 +5,12 @@ evaluation under a content-addressed fingerprint.  In-process, the
 :class:`~repro.explore.engine.EvaluationCache` keeps decoded reports
 itself; this module owns the optional *persistent* store behind it:
 
-* :class:`DiskCache` — a content-addressed on-disk store (sharded
-  files, atomic writes, corruption-tolerant reads) that keeps sweeps
-  warm across *processes and runs*.  Entries are written as compact
-  payload records (:mod:`repro.costs.report`'s struct-packed codec);
-  legacy ``.json`` shards stay readable, so old cache directories
-  remain valid.
+* :class:`DiskCache` — a plain content-addressed file store (sharded
+  files, atomic writes, corruption-tolerant reads; no index, no
+  in-memory copy) that keeps sweeps warm across *processes and runs*.
+  Entries are written as compact payload records
+  (:mod:`repro.costs.report`'s struct-packed codec); legacy ``.json``
+  shards stay readable, so old cache directories remain valid.
 * :class:`RemoteCache` — the **network tier**: a client for the
   :mod:`repro.cacheserver` server, so sweeps stay warm across
   *machines*.  Probes batch into single wire round trips; stores are
@@ -23,7 +23,7 @@ itself; this module owns the optional *persistent* store behind it:
 
 ``resolve_backend`` understands ``remote://host:port`` URLs (with an
 optional ``/local/fallback/dir`` path suffix), so
-``Explorer(cache="remote://...")`` and ``python -m repro.service
+``Explorer(space, cache="remote://...")`` and ``python -m repro.service
 --cache remote://...`` plug whole worker fleets into one shared warm
 corpus.
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import tempfile
 import threading
@@ -52,7 +53,6 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -65,7 +65,6 @@ from typing import (
 
 from ..cacheserver import protocol as wire
 from ..costs.report import (
-    CompactDecodeError,
     FrameError,
     frame_length,
     is_compact_payload,
@@ -230,42 +229,49 @@ class MemoryCache:
 # ----------------------------------------------------------------------
 # On-disk content-addressed store
 # ----------------------------------------------------------------------
-def _mtime(path: Path) -> float:
-    # A sibling process may unlink a shard between glob and stat;
-    # treat the vanished file like any other miss.
+#: The keys a :class:`DiskCache` accepts: hex fingerprints and other
+#: plain names.  Anything else (``/``, ``..``, NUL) could name a file
+#: outside the store's root.
+_KEY = re.compile(r"[0-9A-Za-z_-]+")
+
+
+def _check_key(key: str) -> None:
+    if _KEY.fullmatch(key) is None:
+        raise ValueError(f"cache key {key!r} does not match [0-9A-Za-z_-]+")
+
+
+def _mtime(entry: os.DirEntry) -> float:
+    # A sibling process may unlink a shard between scan and stat;
+    # treat the vanished file as the oldest.
     try:
-        return path.stat().st_mtime
+        return entry.stat().st_mtime
     except OSError:
         return 0.0
 
 
 class DiskCache:
-    """Content-addressed on-disk store under ``root``, safe across runs.
+    """Content-addressed file store under ``root``, safe across runs.
 
-    Layout is sharded by fingerprint prefix —
-    ``root/<key[:2]>/<key>.rpc`` (compact payload records) or
-    ``<key>.json`` (legacy shards) — so directories stay small at
-    scale.  :meth:`put` writes compact records only; reads sniff the
-    record's magic bytes, so mixed directories and pre-compact cache
-    dirs stay fully valid.
-    Writes go through a same-directory temp file plus ``os.replace`` so
-    a crashed writer can never leave a half-written shard; readers that
-    do hit a corrupt file (truncated by external causes, wrong content)
-    count it in ``stats.corrupt``, discard the file and treat the key
-    as a miss instead of raising.
+    Layout is sharded by key prefix — ``root/<key[:2]>/<key>.rpc``
+    (compact payload records) or ``<key>.json`` (legacy shards) — so
+    directories stay small at scale.  Keys must match
+    ``[0-9A-Za-z_-]+``; any other key raises :class:`ValueError` before
+    the filesystem is touched.  The store keeps no index and no
+    in-memory copy: opening one costs a ``mkdir``, and :meth:`get`
+    opens the key's ``.rpc`` file, then its legacy ``.json`` file.
+    :meth:`put` writes compact records only, through a same-directory
+    temp file plus ``os.replace``, so a crashed writer can never leave
+    a half-written shard.  A file that cannot be read or decoded is
+    counted in ``stats.corrupt``, unlinked, and the other format is
+    tried; a key with no readable file is a miss.
 
-    A read-through in-memory mirror makes repeated gets within one
-    process dictionary-cheap; ``max_entries`` (optional) bounds the
-    number of *on-disk* entries with least-recently-stored eviction
-    **and** the mirror itself with least-recently-used eviction —
-    reads fill the mirror, so without its own bound a long-lived
-    process re-reading a large corpus would grow memory without limit
-    (mirror eviction drops only the in-memory copy, never the shard
-    file).
+    ``max_entries`` (optional) bounds the number of stored keys: each
+    store batch ends with one directory pass that unlinks the least
+    recently stored keys (oldest shard mtime) beyond the bound.
     """
 
-    #: Read preference when a key exists in both formats (a legacy
-    #: shard left behind next to its compact rewrite).
+    #: Read order when a key exists in both formats (a legacy shard
+    #: left behind next to its compact rewrite).
     _SUFFIXES = (COMPACT_SUFFIX, JSON_SUFFIX)
 
     def __init__(
@@ -279,65 +285,39 @@ class DiskCache:
         self.root = Path(root)
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: Decoded payloads, LRU-ordered, bounded by ``max_entries``.
-        self._mirror: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        #: key -> shard suffix, in least-recently-stored-first order.
-        self._known: "OrderedDict[str, str]" = OrderedDict()
         self.root.mkdir(parents=True, exist_ok=True)
-        for path in self._scan():
-            # Ascending mtime: a key present in both formats keeps the
-            # newer file's suffix and recency slot.
-            self._known.pop(path.stem, None)
-            self._known[path.stem] = path.suffix
-
-    def _scan(self) -> List[Path]:
-        """Every shard file, oldest first (ties broken by name)."""
-        paths = list(self.root.glob(f"*/*{JSON_SUFFIX}"))
-        paths.extend(self.root.glob(f"*/*{COMPACT_SUFFIX}"))
-        paths.sort(key=lambda p: (_mtime(p), p.name))
-        return paths
-
-    # ------------------------------------------------------------------
-    def _shard(self, key: str) -> Path:
-        return self.root / key[:2]
 
     def _file(self, key: str, suffix: str) -> Path:
-        return self._shard(key) / f"{key}{suffix}"
+        return self.root / key[:2] / f"{key}{suffix}"
+
+    def _scan(self) -> Tuple[List[str], Dict[str, List[os.DirEntry]]]:
+        """One ``os.scandir`` pass over the shard directories.
+
+        Returns the shard directories and, per key, its ``.rpc`` and
+        ``.json`` files; temp files are skipped.  A shard that a
+        sibling process removes mid-pass is skipped too.
+        """
+        try:
+            with os.scandir(self.root) as listing:
+                shards = [entry.path for entry in listing if entry.is_dir()]
+        except OSError:
+            return [], {}
+        files: Dict[str, List[os.DirEntry]] = {}
+        for shard in shards:
+            try:
+                with os.scandir(shard) as listing:
+                    for entry in listing:
+                        key, suffix = os.path.splitext(entry.name)
+                        if suffix in self._SUFFIXES:
+                            files.setdefault(key, []).append(entry)
+            except OSError:
+                continue
+        return shards, files
 
     def __len__(self) -> int:
-        return len(self._known)
-
-    def keys(self) -> Iterator[str]:
-        return iter(tuple(self._known))
+        return len(self._scan()[1])
 
     # ------------------------------------------------------------------
-    def _remember_mirror(self, key: str, payload: Dict[str, Any]) -> None:
-        """Mirror a decoded payload with LRU recency under the bound."""
-        mirror = self._mirror
-        mirror[key] = payload
-        mirror.move_to_end(key)
-        if self.max_entries is not None:
-            while len(mirror) > self.max_entries:
-                mirror.popitem(last=False)
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = self._mirror.get(key)
-        if payload is not None:
-            self._mirror.move_to_end(key)
-            self.stats.hits += 1
-            return payload
-        if key not in self._known:
-            # Route the miss through the directory index exactly like
-            # ``lookup_many``: one refresh (absorbing sibling writes),
-            # then indexed-only reads — instead of blindly probing
-            # both suffix files with two failed read syscalls on every
-            # repeated negative lookup.
-            self._refresh_known()
-            if key not in self._known:
-                self.stats.misses += 1
-                return None
-        return self._load(key)
-
     @staticmethod
     def _decode(data: bytes) -> Dict[str, Any]:
         """Decode one shard's bytes, whatever format it was written in."""
@@ -348,113 +328,46 @@ class DiskCache:
             raise ValueError("cache entry is not a JSON object")
         return payload
 
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read one shard file, counting hit/miss/corrupt as it goes.
-
-        The indexed suffix is tried first; the sibling format is the
-        fallback, so an entry rewritten in the other format by another
-        process — or whose shard in one format got corrupted while a
-        healthy one remains in the other — still resolves.  Only the
-        unreadable file is discarded; the miss is counted once, and
-        only when no candidate resolved.
-        """
-        indexed = self._known.get(key)
-        if indexed is None:
-            suffixes: Tuple[str, ...] = self._SUFFIXES
-        else:
-            suffixes = (indexed,) + tuple(
-                suffix for suffix in self._SUFFIXES if suffix != indexed
-            )
-        for suffix in suffixes:
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        _check_key(key)
+        for suffix in self._SUFFIXES:
             path = self._file(key, suffix)
             try:
-                data = path.read_bytes()
+                payload = self._decode(path.read_bytes())
             except FileNotFoundError:
                 continue
-            except OSError:
+            except (OSError, ValueError):  # unreadable, or not a record
                 self.stats.corrupt += 1
                 self._unlink(path)
                 continue
-            try:
-                payload = self._decode(data)
-            except (CompactDecodeError, ValueError, UnicodeDecodeError):
-                self.stats.corrupt += 1
-                self._unlink(path)
-                continue
-            self._remember_mirror(key, payload)
-            # Plain assignment: appends unindexed keys, keeps the
-            # recency slot of already-indexed ones.
-            self._known[key] = suffix
             self.stats.hits += 1
             return payload
         self.stats.misses += 1
-        self._known.pop(key, None)
         return None
 
-    @staticmethod
-    def _unlink(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def _refresh_known(self) -> None:
-        """One directory pass picking up shards written by siblings.
-
-        Newly absorbed shards are ordered by **mtime** (exactly like
-        ``__init__``), not by name: with ``max_entries`` set, eviction
-        must drop the oldest entries, and a name-ordered absorb could
-        push a sibling's most recent stores to the front of the victim
-        queue.  Keys already indexed keep their recency slot.
-        """
-        already = set(self._known)
-        for path in self._scan():
-            key = path.stem
-            if key in already:
-                continue
-            # A key found in both formats keeps the newer file (the
-            # scan is ascending in mtime).
-            self._known.pop(key, None)
-            self._known[key] = path.suffix
-
     def lookup_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-        """Bulk :meth:`get` over a batch of keys in one pass.
-
-        Mirror hits cost a dictionary probe; keys absent from the
-        directory index cost nothing on disk — the index is refreshed
-        with a *single* directory scan per batch (instead of a file
-        stat per point), which is what keeps a warm re-sweep's probe
-        phase flat as spaces grow.  Only files indexed as present are
-        read; corrupt shards are tolerated exactly as in :meth:`get`.
-        """
-        unique = dict.fromkeys(keys)
-        if any(
-            key not in self._mirror and key not in self._known for key in unique
-        ):
-            self._refresh_known()
+        """Bulk :meth:`get`: one probe per unique key, stats included."""
         found: Dict[str, Dict[str, Any]] = {}
-        for key in unique:
-            payload = self._mirror.get(key)
-            if payload is not None:
-                self._mirror.move_to_end(key)
-                self.stats.hits += 1
-                found[key] = payload
-                continue
-            if key not in self._known:
-                self.stats.misses += 1
-                continue
-            payload = self._load(key)
+        for key in dict.fromkeys(keys):
+            payload = self.get(key)
             if payload is not None:
                 found[key] = payload
         return found
 
-    def store_many(self, payloads: Mapping[str, Mapping[str, Any]]) -> None:
-        """Bulk :meth:`put` (insertion order = recency order)."""
-        for key, payload in payloads.items():
-            self.put(key, payload)
-
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        shard = self._shard(key)
+        self.store_many({key: payload})
+
+    def store_many(self, payloads: Mapping[str, Mapping[str, Any]]) -> None:
+        """Write a batch; every key is checked before any file is written."""
+        for key in payloads:
+            _check_key(key)
+        for key, payload in payloads.items():
+            self._write(key, payload)
+        if self.max_entries is not None and payloads:
+            self._evict(payloads)
+
+    def _write(self, key: str, payload: Mapping[str, Any]) -> None:
+        shard = self.root / key[:2]
         shard.mkdir(parents=True, exist_ok=True)
         blob = pack_payload(payload)
         fd, temp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
@@ -463,56 +376,58 @@ class DiskCache:
                 handle.write(blob)
             os.replace(temp_name, self._file(key, COMPACT_SUFFIX))
         except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
+            self._unlink(temp_name)
             raise
-        # A rewrite supersedes the entry's legacy .json shard: two live
-        # files for one key would shadow updates.
+        # A rewrite supersedes the entry's legacy .json shard, which
+        # would otherwise resurface if the new record were ever
+        # discarded as corrupt.
         self._unlink(self._file(key, JSON_SUFFIX))
-        self._remember_mirror(key, dict(payload))
-        self._known.pop(key, None)
-        self._known[key] = COMPACT_SUFFIX
         self.stats.stores += 1
-        while self.max_entries is not None and len(self._known) > self.max_entries:
-            oldest, _ = self._known.popitem(last=False)
-            self._mirror.pop(oldest, None)
-            for suffix_ in self._SUFFIXES:
-                self._unlink(self._file(oldest, suffix_))
+
+    def _evict(self, stored: Mapping[str, Any]) -> None:
+        """Unlink the least recently stored keys beyond ``max_entries``.
+
+        A key's recency is its newest shard mtime (ties broken by key).
+        The batch just stored ranks newest, in store order: writes made
+        within one filesystem clock tick share an mtime.
+        """
+        _, files = self._scan()
+        excess = len(files) - self.max_entries
+        if excess <= 0:
+            return
+        older = sorted(
+            (key for key in files if key not in stored),
+            key=lambda key: (max(_mtime(entry) for entry in files[key]), key),
+        )
+        newest = [key for key in stored if key in files]
+        for key in (older + newest)[:excess]:
+            for entry in files[key]:
+                self._unlink(entry.path)
             self.stats.evictions += 1
 
-    def _discard(self, key: str) -> None:
-        self._mirror.pop(key, None)
-        self._known.pop(key, None)
-        for suffix in self._SUFFIXES:
-            self._unlink(self._file(key, suffix))
+    @staticmethod
+    def _unlink(path: Union[str, Path]) -> None:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
     def clear(self) -> None:
         """Remove every entry, including shards written by siblings.
 
-        The directory index is refreshed first, so entries stored by
-        other processes since the last refresh are cleared too (a clear
-        that silently leaves sibling shards behind would resurrect them
-        on the next probe); emptied shard directories are removed so a
-        cleared cache leaves nothing but its root behind.
+        Emptied shard directories are removed too, so a cleared cache
+        leaves nothing but its root behind.
         """
-        self._refresh_known()
-        for key in tuple(self._known):
-            self._discard(key)
-        self._mirror.clear()
-        self._known.clear()
-        self.stats.reset()
-        try:
-            shards = list(self.root.iterdir())
-        except OSError:
-            shards = []
+        shards, files = self._scan()
+        for entries in files.values():
+            for entry in entries:
+                self._unlink(entry.path)
         for shard in shards:
-            if shard.is_dir():
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass  # non-empty (a sibling raced a write) or busy
+            try:
+                os.rmdir(shard)
+            except OSError:
+                pass  # non-empty (a sibling raced a write) or busy
+        self.stats.reset()
 
 
 # ----------------------------------------------------------------------

@@ -52,16 +52,9 @@ from typing import (
 
 from ..costs.report import INFEASIBLE_MARKER, CostReport
 from ..dtse.allocation.assign import DEFAULT_AREA_WEIGHT
-from ..dtse.pipeline import PmmRequest, PmmResult
-from ..ir.program import Program
-from ..memlib.library import MemoryLibrary, default_library
+from ..dtse.pipeline import PmmRequest
 from .cache import REMOTE_SCHEME, CacheBackend, DiskCache, resolve_backend
-from .fingerprint import (
-    cached_canonical_json,
-    canonical_value,
-    fingerprint_from_parts,
-    fingerprint_request,
-)
+from .fingerprint import canonical_value, fingerprint_request
 from .pareto import knee_point, pareto_front, pareto_indices
 from .space import DesignPoint, DesignSpace
 
@@ -77,7 +70,6 @@ __all__ = [
     "SearchBudget",
     "SearchDriver",
     "canonical_value",
-    "fingerprint_from_parts",
     "fingerprint_request",
 ]
 
@@ -90,8 +82,9 @@ class EvaluationCache:
 
     The in-process memo is the **decoded tier**: a fingerprint ->
     (:class:`CostReport` | failure) map of everything this cache has
-    decoded or stored, consulted before any backend probe.  A warm
-    re-probe costs one dictionary lookup — no payload fetch, no
+    decoded or stored, consulted before any backend probe, and the only
+    in-process copy of an evaluation.  A warm re-probe costs one
+    dictionary lookup — no payload fetch, no
     :meth:`CostReport.from_dict` materialization; ``decoded_hits``
     counts the probes it absorbed.  ``max_entries`` bounds it with LRU
     eviction (defaulting to the backend's own bound), so a bounded
@@ -104,10 +97,6 @@ class EvaluationCache:
     URL, a :class:`~repro.explore.cache.RemoteCache` shares them across
     *machines* via :mod:`repro.cacheserver`; ``backend=`` takes any
     caller-provided :class:`~repro.explore.cache.CacheBackend`.
-
-    Full :class:`PmmResult`\\ s (schedules and conflict graphs) are
-    pinned only by :meth:`Explorer.evaluate_program`, the session path
-    that returns them; pins share the ``max_entries`` bound.
 
     ``hits``/``misses`` count *evaluations* the explorer resolved from
     cache versus ran through the oracle; the backend's own
@@ -147,7 +136,6 @@ class EvaluationCache:
         if max_entries is None:
             max_entries = getattr(self.backend, "max_entries", None)
         self.max_entries = max_entries
-        self.results: "OrderedDict[str, PmmResult]" = OrderedDict()
         #: Serializes every probe/store/counter path (and thereby all
         #: backend access): re-entrant so locked methods can call each
         #: other, shared by explorers for their counter bumps.
@@ -240,9 +228,9 @@ class EvaluationCache:
         the cache holds; absent fingerprints are simply missing from
         the mapping.  Fingerprints already in the decoded tier never
         reach the backend; the rest go through one backend
-        ``lookup_many`` (the :class:`~repro.explore.cache.DiskCache`
-        version probes a warm sweep in one directory pass), and their
-        decoded entries fill the tier in bulk.
+        ``lookup_many`` (one wire round trip for a
+        :class:`~repro.explore.cache.RemoteCache`), and their decoded
+        entries fill the tier in bulk.
         """
         with self.lock:
             decoded = self._decoded
@@ -283,47 +271,17 @@ class EvaluationCache:
         """The cached failure message, if this evaluation is known bad."""
         return self.lookup(fingerprint)[1]
 
-    def get_result(self, fingerprint: str) -> Optional[PmmResult]:
-        with self.lock:
-            result = self.results.get(fingerprint)
-            if result is not None:
-                self.results.move_to_end(fingerprint)
-            return result
-
-    def store_result(self, fingerprint: str, result: PmmResult) -> None:
-        """Pin a full result, LRU-bounded like the decoded tier.
-
-        Results hold schedules and conflict graphs, so the same
-        ``max_entries`` bound and recency discipline apply.  An
-        already-pinned fingerprint keeps its (deterministically
-        identical) result and just refreshes recency.
-        """
-        with self.lock:
-            if fingerprint not in self.results:
-                self.results[fingerprint] = result
-            self.results.move_to_end(fingerprint)
-            if self.max_entries is not None:
-                while len(self.results) > self.max_entries:
-                    self.results.popitem(last=False)
-
     def store_failure(self, fingerprint: str, error: str) -> None:
         with self.lock:
             if self.backend is not None:
                 self.backend.put(fingerprint, {self.FAILURE_KEY: error})
             self._remember(fingerprint, (None, error))
 
-    def store(
-        self,
-        fingerprint: str,
-        report: CostReport,
-        result: Optional[PmmResult] = None,
-    ) -> None:
+    def store(self, fingerprint: str, report: CostReport) -> None:
         with self.lock:
             if self.backend is not None:
                 self.backend.put(fingerprint, report.to_dict())
             self._remember(fingerprint, (report, None))
-            if result is not None:
-                self.store_result(fingerprint, result)
 
     # ------------------------------------------------------------------
     # Counters (explorers bump these under the shared lock)
@@ -363,22 +321,27 @@ class EvaluationCache:
         with self.lock:
             if self.backend is not None:
                 self.backend.clear()
-            self.results.clear()
             self._decoded.clear()
             self.hits = 0
             self.misses = 0
             self.decoded_hits = 0
 
     def stats(self) -> str:
+        """One display line; counts the backend's entries (may do I/O)."""
         return f"{len(self)} entries, {self.hits} hits, {self.misses} misses"
 
     def stats_dict(self) -> Dict[str, Any]:
-        """Machine-readable counters (perf reports embed this)."""
+        """Machine-readable counters (perf reports embed this).
+
+        In-process counters only, never a backend call: the service
+        puts this into every ``end`` event and ``/v1/stats``, and
+        behind ``remote://`` an entry count would be a network round
+        trip under :attr:`lock`.  ``len(cache)`` counts entries.
+        """
         with self.lock:
             total = self.hits + self.misses
             backend = self.backend
             return {
-                "entries": len(self),
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_rate": round(self.hits / total, 6) if total else 0.0,
@@ -759,9 +722,8 @@ class Explorer:
     Parameters
     ----------
     space:
-        The design space points refer to.  Optional: the ad-hoc
-        :meth:`evaluate_program` path works without one (legacy
-        sessions use it).
+        The design space points refer to: every evaluation resolves a
+        :class:`~repro.explore.space.DesignPoint` against it.
     workers:
         Process-parallelism for batch evaluation.  1 (the default) stays
         in-process.  With ``workers=N`` the explorer owns a
@@ -802,7 +764,7 @@ class Explorer:
 
     def __init__(
         self,
-        space: Optional[DesignSpace] = None,
+        space: DesignSpace,
         *,
         workers: int = 1,
         min_parallel_batch: int = DEFAULT_MIN_PARALLEL_BATCH,
@@ -841,7 +803,6 @@ class Explorer:
         #: broken) — counted, not swallowed, so a pathological worker
         #: setup is visible instead of silent.
         self._pool_discard_failures = 0
-        self._default_library: Optional[MemoryLibrary] = None
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -923,8 +884,6 @@ class Explorer:
     # ------------------------------------------------------------------
     def request_for(self, point: DesignPoint) -> PmmRequest:
         """Resolve a point against the space into a concrete request."""
-        if self.space is None:
-            raise ValueError("explorer has no design space")
         return PmmRequest(
             program=self.space.program(point.variant),
             cycle_budget=self.space.effective_budget(point.budget_fraction),
@@ -954,8 +913,6 @@ class Explorer:
         constructed.
         """
         space = self.space
-        if space is None:
-            raise ValueError("explorer has no design space")
         dumps = json.dumps
         sha256 = hashlib.sha256
         prefix = (
@@ -1019,8 +976,6 @@ class Explorer:
         if not 0 <= index < count:
             raise ValueError(f"index must be in [0, {count}), got {index}")
         if points is None:
-            if self.space is None:
-                raise ValueError("explorer has no design space to shard")
             points = self.space.points()
         fingerprints = self.fingerprint_points(points)
         return [
@@ -1056,8 +1011,6 @@ class Explorer:
         """
         if not points:
             return []
-        if self.space is None:
-            raise ValueError("explorer has no design space")
         fingerprints = self.fingerprint_points(points)
         # Reports are pinned batch-locally as soon as they are resolved:
         # a bounded backend may evict any entry between the cache probe
@@ -1215,11 +1168,7 @@ class Explorer:
         items: Sequence[Tuple[str, PmmRequest]],
         computed: Dict[str, CostReport],
     ) -> None:
-        """The in-process miss path (also the pool-loss recovery path).
-
-        Only reports are kept: full :class:`PmmResult`\\ s are pinned
-        by :meth:`evaluate_program` alone, the path that returns them.
-        """
+        """The in-process miss path (also the pool-loss recovery path)."""
         for fingerprint, request in items:
             start = time.perf_counter()
             try:
@@ -1250,88 +1199,6 @@ class Explorer:
             raise ExplorationError(f"evaluation of {request.label!r} failed: {error}")
         self._errors[fingerprint] = error
         self.cache.store_failure(fingerprint, error)
-
-    # ------------------------------------------------------------------
-    def evaluate_program(
-        self,
-        program: Program,
-        *,
-        label: str,
-        cycle_budget: float,
-        frame_time_s: float,
-        library: Optional[MemoryLibrary] = None,
-        n_onchip: Optional[int] = None,
-        step: str = "",
-    ) -> Tuple[ExplorationRecord, PmmResult]:
-        """Ad-hoc evaluation of a bare program (the session path).
-
-        Returns the full :class:`PmmResult`, pinned in the cache for
-        later calls; on a cache hit with no pinned result (batch
-        evaluations and persisted entries keep only the report), the
-        oracle re-runs — deterministically identical.
-        """
-        if library is None:
-            # One shared default-library instance per explorer keeps the
-            # identity-keyed fragment memo effective (and bounded) for
-            # sessions that evaluate with the implicit library.
-            if self._default_library is None:
-                self._default_library = default_library()
-            library = self._default_library
-        request = PmmRequest(
-            program=program,
-            cycle_budget=cycle_budget,
-            frame_time_s=frame_time_s,
-            library=library,
-            n_onchip=n_onchip,
-            area_weight=self.area_weight,
-            label=label,
-            seed=self.seed,
-        )
-        fingerprint = fingerprint_from_parts(
-            # The spaceless path uses the same process-wide
-            # identity-memoized fragments as design-space sweeps.
-            cached_canonical_json(request.program),
-            cached_canonical_json(request.library),
-            cycle_budget=request.cycle_budget,
-            frame_time_s=request.frame_time_s,
-            n_onchip=request.n_onchip,
-            area_weight=request.area_weight,
-            seed=request.seed,
-        )
-        hit = self.cache.get_report(fingerprint) is not None
-        result = self.cache.get_result(fingerprint)
-        seconds = 0.0
-        if result is None:
-            start = time.perf_counter()
-            result = request.run()
-            seconds = time.perf_counter() - start
-            if hit:
-                # A report-only hit (batch or disk entry): keep the
-                # recomputed result so later callers get it for free
-                # (LRU-bounded exactly like a stored one).
-                self.cache.store_result(fingerprint, result)
-        if hit:
-            self.cache.count_hits()
-        else:
-            self.cache.count_misses()
-            self.cache.store(fingerprint, result.report, result)
-        if result.report.label != label:
-            result = dataclasses.replace(
-                result,
-                allocation=dataclasses.replace(result.allocation, label=label),
-            )
-        record = ExplorationRecord(
-            point=DesignPoint(variant=program.name, label=label),
-            report=result.report,
-            fingerprint=fingerprint,
-            seconds=seconds,
-            cache_hit=hit,
-            step=step,
-            program_name=program.name,
-        )
-        if self.retain_records:
-            self.records.append(record)
-        return record, result
 
     # ------------------------------------------------------------------
     def explore(
@@ -1445,7 +1312,7 @@ class SearchDriver:
         )
         state = BudgetState(budget=self.budget)
         result = ExplorationResult(
-            space_name=explorer.space.name if explorer.space is not None else "",
+            space_name=explorer.space.name,
             strategy=strategy.name,
             budget=None if self.budget.unlimited else self.budget,
         )

@@ -9,18 +9,17 @@ Two construction paths produce **byte-identical** fingerprints:
 
 * :func:`fingerprint_request` — the monolithic reference path: it
   re-canonicalizes the entire request every call.  Simple, stateless,
-  and the ground truth the compatibility tests pin the incremental
-  path against.
-* :func:`fingerprint_from_parts` — the incremental path: the expensive
+  and the ground truth the compatibility tests pin the fast path
+  against.
+* :meth:`~repro.explore.engine.Explorer.fingerprint_points` — the one
+  fast path, for whole design-point batches: the expensive
   canonical-JSON fragments (program and library — everything that is
   invariant across a sweep) are computed **once** per object
-  (:func:`cached_canonical_json`); each evaluation then only pays a
-  tiny knob digest (budget, ``n_onchip``, ``area_weight``, seed) plus
-  one hash over the assembled blob.  The explorer's batched
-  :meth:`~repro.explore.engine.Explorer.fingerprint_points` splices
-  the same fragments for whole design-point batches.
+  (:func:`cached_canonical_json`), and each point then pays a tiny knob
+  digest (budget, ``n_onchip``, ``area_weight``, seed) plus one hash
+  over the spliced blob.
 
-Because every path hashes the same serialized payload, existing
+Because both paths hash the same serialized payload, existing
 :class:`~repro.explore.cache.DiskCache` directories and golden files
 stay valid.
 """
@@ -32,7 +31,7 @@ import enum
 import hashlib
 import json
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dtse.pipeline import PmmRequest
@@ -181,49 +180,20 @@ def canonical_json(value: Any) -> str:
     ``sort_keys`` + compact separators make this exactly the fragment
     :func:`json.dumps` would emit for the value nested inside the full
     request payload, so precomputed fragments splice into
-    :func:`fingerprint_from_parts` without changing a single byte.
+    :meth:`~repro.explore.engine.Explorer.fingerprint_points` without
+    changing a single byte.
     """
     return json.dumps(canonical_value(value), sort_keys=True, separators=(",", ":"))
-
-
-def fingerprint_from_parts(
-    program_json: str,
-    library_json: str,
-    *,
-    cycle_budget: float,
-    frame_time_s: float,
-    n_onchip: Optional[int],
-    area_weight: float,
-    seed: int,
-) -> str:
-    """Assemble a fingerprint from precomputed invariant JSON fragments.
-
-    The payload keys are spliced in sorted order (``area_weight`` <
-    ``cycle_budget`` < ``frame_time_s`` < ``library`` < ``n_onchip`` <
-    ``program`` < ``seed``), matching what ``json.dumps(payload,
-    sort_keys=True)`` emits in :func:`fingerprint_request` — the two
-    paths hash byte-identical blobs.
-    """
-    dumps = json.dumps
-    blob = (
-        f'{{"area_weight":{dumps(float(area_weight))},'
-        f'"cycle_budget":{dumps(float(cycle_budget))},'
-        f'"frame_time_s":{dumps(float(frame_time_s))},'
-        f'"library":{library_json},'
-        f'"n_onchip":{dumps(n_onchip)},'
-        f'"program":{program_json},'
-        f'"seed":{dumps(seed)}}}'
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def fingerprint_request(request: "PmmRequest") -> str:
     """Content address of one evaluation (label excluded: cosmetic).
 
     The monolithic reference path: canonicalizes the whole request on
-    every call.  The sweep hot path uses :func:`fingerprint_from_parts`
-    with memoized program/library fragments instead; a compatibility
-    test keeps the two byte-identical.
+    every call.  The sweep hot path,
+    :meth:`~repro.explore.engine.Explorer.fingerprint_points`, splices
+    memoized program/library fragments instead; a compatibility test
+    keeps the two byte-identical.
     """
     payload = {
         "program": canonical_value(request.program),

@@ -6,23 +6,20 @@ recorded with its step name, cost report and wall-clock evaluation time,
 so the exploration tree can be rendered afterwards (our Figure 1
 regeneration).
 
-Since the ``repro.api`` redesign the session is a thin adapter over the
-:class:`~repro.explore.engine.Explorer` engine: evaluations flow through
-the engine's memoization cache (re-evaluating an identical alternative
-is free), and strategy runs (:class:`~repro.explore.strategies.GreedyStepwise`)
-can mirror their walk into a session for rendering.
+The session evaluates nothing itself.  A
+:class:`~repro.explore.strategies.GreedyStepwise` walk, driven by the
+:class:`~repro.explore.engine.Explorer`, fills it through
+:meth:`ExplorationSession.log_record` and marks each step's decision
+with :meth:`ExplorationSession.choose`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..costs.report import CostReport
-from ..dtse.pipeline import PmmResult
-from ..ir.program import Program
-from ..memlib.library import MemoryLibrary, default_library
-from .engine import ExplorationRecord, Explorer
+from .engine import ExplorationRecord
 
 
 @dataclass
@@ -39,63 +36,9 @@ class Evaluation:
 
 @dataclass
 class ExplorationSession:
-    """Feedback-driven exploration with a decision log."""
+    """The decision log of a feedback-driven exploration."""
 
-    cycle_budget: float
-    frame_time_s: float
-    library: MemoryLibrary = field(default_factory=default_library)
     evaluations: List[Evaluation] = field(default_factory=list)
-    #: The evaluation engine; a private serial one is created if omitted.
-    explorer: Optional[Explorer] = None
-
-    def __post_init__(self) -> None:
-        if self.explorer is None:
-            self.explorer = Explorer()
-
-    def evaluate(
-        self,
-        program: Program,
-        step: str,
-        label: str,
-        cycle_budget: Optional[float] = None,
-        n_onchip: Optional[int] = None,
-    ) -> PmmResult:
-        """Run the feedback oracle (memoized) and log the outcome."""
-        record, result = self.explorer.evaluate_program(
-            program,
-            label=label,
-            step=step,
-            cycle_budget=(
-                cycle_budget if cycle_budget is not None else self.cycle_budget
-            ),
-            frame_time_s=self.frame_time_s,
-            library=self.library,
-            n_onchip=n_onchip,
-        )
-        self.evaluations.append(
-            Evaluation(
-                step=step,
-                label=label,
-                program_name=program.name,
-                report=record.report,
-                seconds=record.seconds,
-            )
-        )
-        return result
-
-    def run(
-        self,
-        strategy: "SearchStrategy",  # noqa: F821 - import cycle
-        budget: Optional["SearchBudget"] = None,  # noqa: F821
-    ) -> "ExplorationResult":  # noqa: F821
-        """Drive a strategy through this session's explorer.
-
-        A convenience over ``self.explorer.explore(strategy,
-        budget=budget)`` — strategies that know about sessions
-        (:class:`~repro.explore.strategies.GreedyStepwise`) mirror their
-        walk into this decision log as usual.
-        """
-        return self.explorer.explore(strategy, budget=budget)
 
     def log_record(self, record: ExplorationRecord) -> Evaluation:
         """Mirror an engine record into the decision log."""

@@ -200,9 +200,9 @@ class DesignSpace:
         """The variant's canonical program JSON, computed at most once.
 
         This is the sweep-invariant (and expensive) part of a design
-        point's fingerprint; the engine combines it with the per-point
-        knob digest via
-        :func:`~repro.explore.fingerprint.fingerprint_from_parts`.
+        point's fingerprint; the engine splices it with the per-point
+        knob digest in
+        :meth:`~repro.explore.engine.Explorer.fingerprint_points`.
         The memo is the process-wide identity-keyed fragment store
         (:func:`~repro.explore.fingerprint.cached_canonical_json`), so
         fresh spaces sharing registry-built program objects pay the

@@ -99,10 +99,6 @@ class SearchStrategy:
         """Compat shim: drive this strategy through the budgeted loop."""
         return explorer.explore(self, budget=budget)
 
-    def _result(self, explorer: Explorer) -> ExplorationResult:
-        space_name = explorer.space.name if explorer.space is not None else ""
-        return ExplorationResult(space_name=space_name, strategy=self.name)
-
 
 # ----------------------------------------------------------------------
 class ExhaustiveSweep(SearchStrategy):
@@ -136,8 +132,6 @@ class ExhaustiveSweep(SearchStrategy):
         if self.points is not None:
             self._iterator = iter(self.points)
         else:
-            if explorer.space is None:
-                raise ValueError("explorer has no design space")
             self._iterator = explorer.space.iter_points()
 
     def propose(self, state: BudgetState) -> Optional[Proposal]:
@@ -307,8 +301,6 @@ class ParetoRefine(SearchStrategy):
         self._round = 0
 
     def begin(self, explorer: Explorer) -> None:
-        if explorer.space is None:
-            raise ValueError("explorer has no design space")
         self._space = explorer.space
         self._frontier = (
             list(self.seed_points)
@@ -419,8 +411,6 @@ class LinearFrontier(SearchStrategy):
 
     # ------------------------------------------------------------------
     def begin(self, explorer: Explorer) -> None:
-        if explorer.space is None:
-            raise ValueError("LinearFrontier needs a design space")
         self._space = explorer.space
         self._evaluated = {}
         self._attempted = set()

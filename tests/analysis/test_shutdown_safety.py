@@ -86,9 +86,10 @@ def test_discard_pool_counts_shutdown_failures():
         def shutdown(self, wait=False):
             raise OSError("already dead")
 
-    from repro.api import Explorer
+    from repro.api import DesignSpace, Explorer
 
-    explorer = Explorer(workers=2)
+    space = DesignSpace("shutdown", cycle_budget=1_000, frame_time_s=1e-3)
+    explorer = Explorer(space, workers=2)
     assert explorer._pool_discard_failures == 0
     explorer._discard_pool(_BrokenPool())
     assert explorer._pool_discard_failures == 1

@@ -27,6 +27,7 @@ from repro.explore import (
     MemoryCache,
     RemoteCache,
 )
+from repro.service import ServiceClient, ServiceConfig, ServiceThread
 
 
 @pytest.fixture()
@@ -99,24 +100,26 @@ class TestRoundTrips:
 
 
 # ----------------------------------------------------------------------
-# Handshake discipline (raw socket, no client sugar)
+# Raw frames (no client sugar): handshake discipline, the key rule
 # ----------------------------------------------------------------------
 class TestHandshake:
     @staticmethod
-    def _exchange(address, body):
+    def _exchange(address, *bodies):
+        """Send the frames in turn on one connection; the last response."""
         with socket.create_connection(address, timeout=10) as sock:
-            sock.sendall(pack_frame(body))
-            header = b""
-            while len(header) < 4:
-                chunk = sock.recv(4 - len(header))
-                assert chunk, "server closed before responding"
-                header += chunk
-            length = frame_length(header)
-            payload = b""
-            while len(payload) < length:
-                chunk = sock.recv(length - len(payload))
-                assert chunk
-                payload += chunk
+            for body in bodies:
+                sock.sendall(pack_frame(body))
+                header = b""
+                while len(header) < 4:
+                    chunk = sock.recv(4 - len(header))
+                    assert chunk, "server closed before responding"
+                    header += chunk
+                length = frame_length(header)
+                payload = b""
+                while len(payload) < length:
+                    chunk = sock.recv(length - len(payload))
+                    assert chunk
+                    payload += chunk
             return payload
 
     def test_first_frame_must_be_hello(self, server):
@@ -139,6 +142,27 @@ class TestHandshake:
         info = protocol.parse_payload_response(response)
         assert info["server"] == "repro.cacheserver"
         assert info["protocol"] == protocol.CACHE_PROTOCOL_VERSION
+
+    def test_traversal_key_put_is_refused(self, tmp_path):
+        """A PUT key that names a path outside the corpus gets an error
+        reply and writes nothing anywhere."""
+        corpus = tmp_path / "a" / "b" / "corpus"
+        config = CacheServerConfig(host="127.0.0.1", port=0, cache_dir=corpus)
+        with CacheServerThread(config) as srv:
+            response = self._exchange(
+                srv.address,
+                protocol.hello_request(),
+                protocol.put_request({"../../escaped": {"v": 1}}),
+            )
+            with pytest.raises(protocol.RemoteError, match="ValueError"):
+                protocol.parse_response(response)
+            assert srv.core.errors == 1
+            assert srv.core.keys_stored == 0
+        assert sorted(tmp_path.rglob("*")) == [
+            tmp_path / "a",
+            tmp_path / "a" / "b",
+            corpus,
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +240,24 @@ class TestSharedCorpus:
             r.fingerprint for r in reference.records
         }
         pilot.cache.close_backend()
+
+    def test_warm_service_sweep_sends_no_request(self, server):
+        """Once a sweep's outcomes sit in the service's decoded tier, a
+        re-sweep over ``remote://`` costs the cache server nothing: the
+        ``end`` and ``/v1/stats`` cache snapshots are in-process
+        counters, not a LEN round trip."""
+        config = ServiceConfig(port=0, cache_dir=server.url)
+        with ServiceThread(config) as service:
+            with ServiceClient(*service.address) as client:
+                list(client.sweep("cavity"))
+                assert service.service.cache.flush(timeout=30)
+                before = server.core.requests_total
+                events = list(client.sweep("cavity"))
+                assert server.core.requests_total == before
+                assert events[-1]["type"] == "end"
+                assert events[-1]["summary"]["cache"]["misses"] > 0
+                assert "entries" not in client.stats()["cache"]
+                assert server.core.requests_total == before
 
 
 # ----------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_disk_cache_tolerates_corrupted_shard(tmp_path):
     cache.put("abcd", _payload(1))
     shard = tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}"
     shard.write_bytes(COMPACT_MAGIC + b"\x01")  # truncated compact record
-    fresh = DiskCache(tmp_path)  # no in-memory mirror: must read the file
+    fresh = DiskCache(tmp_path)
     assert fresh.get("abcd") is None
     assert fresh.stats.corrupt == 1
     # The bad file is discarded so a rewrite repairs the entry.
@@ -175,11 +175,11 @@ def test_disk_cache_clear_removes_entries(tmp_path):
 
 
 def test_disk_cache_clear_removes_sibling_shards_and_empty_dirs(tmp_path):
-    """The clear() fix: shards written by siblings since the last
-    refresh are cleared too, and emptied shard dirs are removed."""
+    """Shards written by siblings are cleared too, and emptied shard
+    dirs are removed."""
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
-    DiskCache(tmp_path).put("efgh", _payload(2))  # unknown to `cache` until a refresh
+    DiskCache(tmp_path).put("efgh", _payload(2))  # a sibling's store
     _write_legacy(tmp_path, "ijkl", _payload(3))
     cache.clear()
     assert len(cache) == 0
@@ -191,9 +191,8 @@ def test_disk_cache_clear_removes_sibling_shards_and_empty_dirs(tmp_path):
 
 
 def test_disk_cache_refresh_orders_sibling_shards_by_mtime(tmp_path):
-    """The index-recency fix: absorbing sibling-written shards must
-    order them by mtime, so eviction drops the *oldest* entry — a
-    name-ordered absorb could evict a sibling's newest store."""
+    """Eviction orders sibling-written shards by mtime, so it drops the
+    *oldest* entry — a name order could evict a sibling's newest store."""
     reader = DiskCache(tmp_path, max_entries=2)
     sibling = DiskCache(tmp_path)
     # Written zz -> aa (name order is the exact reverse of store order).
@@ -203,7 +202,7 @@ def test_disk_cache_refresh_orders_sibling_shards_by_mtime(tmp_path):
     new = (tmp_path / "aa" / f"aa02{COMPACT_SUFFIX}", 1_000_000_500)
     for path, stamp in (old, new):
         os.utime(path, (stamp, stamp))
-    assert len(reader.lookup_many(["zz01", "aa02"])) == 2  # absorb both
+    assert len(reader.lookup_many(["zz01", "aa02"])) == 2
     reader.put("ff03", _payload(3))  # bound is 2: one eviction
     assert reader.stats.evictions == 1
     # The mtime-oldest shard (zz01) is the victim, not the newest store.
@@ -225,19 +224,36 @@ def test_memory_cache_lookup_many_counts_like_get():
     assert cache.stats.stores == 2
 
 
-def test_disk_cache_lookup_many_warm_batch(tmp_path):
+def test_disk_cache_lookup_many_warm_batch(tmp_path, monkeypatch):
     warm = DiskCache(tmp_path)
     warm.store_many({f"k{i:03d}": _payload(i) for i in range(6)})
-    fresh = DiskCache(tmp_path)  # cold mirror: entries come off disk
+
+    # Opening and probing a filled corpus opens the keys' files only:
+    # no directory is ever listed.
+    listings = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            listings.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(os, "scandir", counting("scandir", os.scandir))
+    monkeypatch.setattr(Path, "glob", counting("glob", Path.glob))
+    monkeypatch.setattr(Path, "iterdir", counting("iterdir", Path.iterdir))
+    fresh = DiskCache(tmp_path)
     keys = [f"k{i:03d}" for i in range(6)] + ["missing1", "missing2"]
     found = fresh.lookup_many(keys)
     assert found == {f"k{i:03d}": _payload(i) for i in range(6)}
     assert fresh.stats.hits == 6
     assert fresh.stats.misses == 2
-    # A second bulk probe is served by the mirror.
+    # A second bulk probe reads the files again: same payloads, same counts.
     again = fresh.lookup_many([f"k{i:03d}" for i in range(6)])
     assert again == found
     assert fresh.stats.hits == 12
+    assert fresh.get("missing1") is None
+    assert listings == []
 
 
 def test_disk_cache_lookup_many_tolerates_corrupt_shards(tmp_path):
@@ -306,7 +322,7 @@ def test_disk_cache_corrupt_shard_falls_back_to_healthy_sibling_format(tmp_path)
     _write_legacy(tmp_path, "abcd", _payload(1))
     bad = tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}"
     bad.write_bytes(COMPACT_MAGIC + b"\x01")  # truncated compact record
-    fresh = DiskCache(tmp_path)  # indexes the newer (corrupt) shard first
+    fresh = DiskCache(tmp_path)  # reads the (corrupt) .rpc shard first
     assert fresh.get("abcd") == {"value": 1}
     assert fresh.stats.corrupt == 1
     assert fresh.stats.hits == 1
@@ -332,18 +348,17 @@ def test_disk_cache_lookup_many_sees_sibling_writes(tmp_path):
     reader = DiskCache(tmp_path)
     assert reader.lookup_many(["abcd"]) == {}
     DiskCache(tmp_path).put("abcd", _payload(9))  # a sibling process writes
-    # The next bulk probe's single directory refresh picks it up.
     assert reader.lookup_many(["abcd"]) == {"abcd": _payload(9)}
 
 
 def test_disk_cache_lookup_many_tolerates_vanished_file(tmp_path):
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
-    fresh = DiskCache(tmp_path)  # indexes the entry, mirror still cold
+    fresh = DiskCache(tmp_path)
     (tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}").unlink()
     assert fresh.lookup_many(["abcd"]) == {}
     assert fresh.stats.misses == 1
-    assert len(fresh) == 0  # the stale index entry is dropped
+    assert len(fresh) == 0
 
 
 def test_evaluation_cache_lookup_many_decodes_failures(tmp_path):
@@ -385,7 +400,7 @@ def test_backend_without_bulk_hooks_is_rejected():
     with pytest.raises(TypeError):
         EvaluationCache(backend=MinimalBackend())
     with pytest.raises(TypeError):
-        Explorer(cache=MinimalBackend())
+        Explorer(_space(), cache=MinimalBackend())
 
 
 def test_negative_entries_round_trip_through_compact_format(tmp_path):
@@ -471,43 +486,21 @@ def test_decoded_tier_cleared_with_cache():
 
 
 def test_stats_dict_reports_decoded_tier():
-    shared = EvaluationCache(backend=MemoryCache())
+    class UncountableCache(MemoryCache):
+        """Counting its entries is backend I/O (a LEN round trip)."""
+
+        def __len__(self):
+            raise AssertionError("stats_dict() must not count backend entries")
+
+    shared = EvaluationCache(backend=UncountableCache())
     shared.backend.put("good", {"label": "x", "memories": []})
     shared.lookup("good")
     shared.lookup("good")
     stats = shared.stats_dict()
     assert stats["decoded_hits"] == 1
     assert stats["decoded_entries"] == 1
-
-
-# ----------------------------------------------------------------------
-# Full-result store bound
-# ----------------------------------------------------------------------
-def test_results_store_bounded_with_lru_recency():
-    """The results-leak fix: full PmmResults obey the backend bound."""
-    from repro.costs.report import CostReport
-
-    shared = EvaluationCache(max_entries=2)
-    results = [object() for _ in range(4)]
-    for index, result in enumerate(results[:3]):
-        shared.store(f"fp{index}", CostReport(label=f"r{index}"), result)
-    assert len(shared.results) == 2
-    assert shared.get_result("fp0") is None  # evicted, oldest first
-    assert shared.get_result("fp1") is results[1]  # refreshed recency
-    shared.store("fp3", CostReport(label="r3"), results[3])
-    # fp2 was least recently used after the fp1 touch above.
-    assert shared.get_result("fp2") is None
-    assert shared.get_result("fp1") is results[1]
-    assert shared.get_result("fp3") is results[3]
-
-
-def test_store_result_keeps_first_pinned_result():
-    shared = EvaluationCache()
-    first, second = object(), object()
-    shared.store_result("fp", first)
-    shared.store_result("fp", second)  # deterministic re-run: same content
-    assert shared.get_result("fp") is first
-    assert len(shared.results) == 1
+    assert stats["backend_stats"]["hits"] == 1
+    assert "entries" not in stats
 
 
 # ----------------------------------------------------------------------
@@ -530,77 +523,37 @@ def test_evaluation_cache_rejects_path_plus_backend(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# DiskCache read-path regressions: mirror bound, negative probes
+# DiskCache keys and the miss path
 # ----------------------------------------------------------------------
-def test_disk_cache_mirror_bounded_on_read_path(tmp_path):
-    """Reads must not grow the decoded mirror past ``max_entries``.
-
-    Regression: ``_load`` used to insert into the mirror with no cap,
-    so a bounded reader sweeping a large sibling-written corpus leaked
-    one decoded payload per distinct key read.
-    """
-    writer = DiskCache(tmp_path / "c")
-    for i in range(12):
-        writer.put(f"key{i}", _payload(i))
-
-    reader = DiskCache(tmp_path / "c", max_entries=4)
-    for i in range(12):
-        assert reader.get(f"key{i}") == _payload(i)
-    assert len(reader._mirror) <= 4
-    # The most recently read keys survived, LRU order intact.
-    assert list(reader._mirror) == [f"key{i}" for i in range(8, 12)]
-
-    bulk_reader = DiskCache(tmp_path / "c", max_entries=4)
-    found = bulk_reader.lookup_many([f"key{i}" for i in range(12)])
-    assert len(found) == 12
-    assert len(bulk_reader._mirror) <= 4
-
-
-def test_disk_cache_mirror_hits_refresh_recency(tmp_path):
-    writer = DiskCache(tmp_path / "c")
-    for i in range(4):
-        writer.put(f"key{i}", _payload(i))
-    reader = DiskCache(tmp_path / "c", max_entries=3)
-    for i in range(3):
-        reader.get(f"key{i}")
-    reader.get("key0")  # mirror hit: key0 becomes most recent
-    reader.get("key3")  # evicts the least recent (key1), not key0
-    assert "key0" in reader._mirror
-    assert "key1" not in reader._mirror
-
-
-def test_disk_cache_negative_get_does_not_probe_files(tmp_path, monkeypatch):
-    """A repeated single-key miss must stay off the filesystem read path.
-
-    Regression: ``get`` used to bypass the directory index and probe
-    both suffix files, paying two failed ``read_bytes`` syscalls per
-    negative lookup, every time.
-    """
-    cache = DiskCache(tmp_path / "c")
-    cache.put("present", _payload(1))
-
-    reads = []
-    original = Path.read_bytes
-
-    def counting_read_bytes(self):
-        reads.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
-    for _ in range(5):
-        assert cache.get("absent") is None
-    assert reads == []  # misses resolved from the index alone
-    assert cache.stats.misses == 5
-
-    # Present keys still read from disk (the writer's own mirror is
-    # warm, so probe through a fresh instance).
-    fresh = DiskCache(tmp_path / "c")
-    assert fresh.get("present") == _payload(1)
-    assert len(reads) == 1
+def test_disk_cache_rejects_traversal_keys(tmp_path):
+    """Keys become file paths: a key outside ``[0-9A-Za-z_-]+`` is
+    refused before the filesystem is touched, batch writes included."""
+    root = tmp_path / "a" / "b" / "c"
+    cache = DiskCache(root)
+    # What a traversal read would find, and unlink as undecodable.
+    planted = tmp_path / f"escaped{COMPACT_SUFFIX}"
+    planted.write_bytes(b"not a record")
+    for key in ("../../escaped", "ab/../../../escaped", "..", "abcd.json", ""):
+        with pytest.raises(ValueError):
+            cache.put(key, _payload(1))
+        with pytest.raises(ValueError):
+            cache.get(key)
+        with pytest.raises(ValueError):
+            cache.lookup_many(["fine", key])
+    with pytest.raises(ValueError):
+        cache.store_many({"good": _payload(1), "../../escaped": _payload(2)})
+    assert sorted(tmp_path.rglob("*")) == [
+        tmp_path / "a",
+        tmp_path / "a" / "b",
+        root,
+        planted,
+    ]
+    assert planted.read_bytes() == b"not a record"
+    assert cache.stats.corrupt == cache.stats.stores == 0
 
 
 def test_disk_cache_get_sees_sibling_writes(tmp_path):
-    """The indexed miss path still absorbs writes by other processes."""
+    """A miss leaves nothing behind: a later sibling write is read."""
     reader = DiskCache(tmp_path / "c")
     assert reader.get("late") is None
     DiskCache(tmp_path / "c").put("late", _payload(9))
@@ -668,23 +621,11 @@ def test_memory_only_cache_holds_one_entry_per_fingerprint():
         "fp2": (report, None),
         "bad": (None, "infeasible corner"),
     }
-    stats = shared.stats_dict()
-    assert stats["entries"] == stats["decoded_entries"] == 4
-    assert stats["backend"] is None
+    assert shared.stats_dict()["backend"] is None
     assert shared.flush() is True
     shared.close_backend()  # no backend to release: a no-op
     shared.clear()
     assert len(shared) == 0
-
-
-def test_serial_evaluate_many_pins_no_results():
-    """Batch evaluation keeps reports only: full PmmResults (schedules,
-    conflict graphs) are pinned by evaluate_program alone."""
-    explorer = Explorer(_space(), on_error="skip")
-    records = explorer.evaluate_many(explorer.space.points())
-    assert records and not any(record.cache_hit for record in records)
-    assert len(explorer.cache.results) == 0
-    assert explorer.cache.decoded_entries == len(records)
 
 
 # ----------------------------------------------------------------------

@@ -74,9 +74,7 @@ def test_threaded_lookup_store_hammer(cavity_reports):
         + n_rounds  # shared stores (idempotent across threads)
         + n_threads * n_rounds  # negative entries
     )
-    assert len(cache) == expected_entries
-    stats = cache.stats_dict()
-    assert stats["entries"] == expected_entries
+    assert len(cache) == cache.decoded_entries == expected_entries
 
 
 def test_shared_cache_between_threaded_explorers():

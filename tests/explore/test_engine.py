@@ -205,9 +205,15 @@ def test_duplicate_cached_points_count_one_decoded_hit(tmp_path):
     explorer.evaluate(point)
     hits_before = explorer.cache.backend.stats.hits
     decoded_before = explorer.cache.decoded_hits
-    records = explorer.evaluate_many([point, point])
+    records = explorer.evaluate_many([point, point.relabeled("taps8 again")])
     assert all(record.cache_hit for record in records)
     assert explorer.cache.hits == 1  # one unique cache resolution
+    # Each record keeps its own point's label, cache hits included.
+    assert [record.report.label for record in records] == [
+        point.display_label,
+        "taps8 again",
+    ]
+    assert records[0].report.memories == records[1].report.memories
     # The store filled the decoded tier, so the warm probe never
     # reaches the backend: one decoded hit, zero new backend traffic.
     assert explorer.cache.decoded_hits == decoded_before + 1
@@ -335,33 +341,6 @@ def test_pareto_refine_with_skipped_points_keeps_pairing():
     assert len(failed_points) == len(set(failed_points))
 
 
-def test_evaluate_program_retains_result_after_parallel_fill():
-    space = _fir_space()
-    explorer = Explorer(space, workers=2)
-    explorer.run(ExhaustiveSweep())  # parallel: cache holds reports only
-    point = space.point("taps8")
-    fingerprint = explorer.evaluate(point).fingerprint
-    assert explorer.cache.get_result(fingerprint) is None
-    record, result = explorer.evaluate_program(
-        space.program("taps8"),
-        label="relabeled",
-        cycle_budget=space.cycle_budget,
-        frame_time_s=space.frame_time_s,
-    )
-    assert record.cache_hit
-    # The recomputed PmmResult is kept for later callers, and the
-    # returned result carries the caller's label.
-    assert explorer.cache.get_result(fingerprint) is not None
-    assert result.report.label == "relabeled"
-    _, second = explorer.evaluate_program(
-        space.program("taps8"),
-        label="again",
-        cycle_budget=space.cycle_budget,
-        frame_time_s=space.frame_time_s,
-    )
-    assert second.report.label == "again"
-
-
 def test_pareto_refine_stays_inside_space_and_reuses_cache():
     space = _fir_space()
     explorer = Explorer(space)
@@ -404,8 +383,6 @@ def test_shard_points_validates_arguments():
         explorer.shard_points(0, 0)
     with pytest.raises(ValueError):
         explorer.shard_points(2, 2)
-    with pytest.raises(ValueError):
-        Explorer().shard_points(2, 0)  # no space, no points
 
 
 def test_merged_deduplicates_by_fingerprint(serial_result):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.costs import CostReport, MemoryCost, render_cost_table
-from repro.explore import ExplorationSession, dominates, knee_point, pareto_front
+from repro.explore import (
+    ExplorationSession,
+    Explorer,
+    dominates,
+    knee_point,
+    pareto_front,
+)
 from repro.memlib import MemoryKind
 
 
@@ -76,13 +82,20 @@ def test_knee_point_zero_span_axis():
     assert knee_point(front).label == "cool"
 
 
-def test_session_logs_and_chooses(btpc_program, constraints):
-    session = ExplorationSession(
-        cycle_budget=constraints.cycle_budget,
-        frame_time_s=constraints.frame_time_s,
-    )
-    session.evaluate(btpc_program, "step A", "alt 1")
-    session.evaluate(btpc_program, "step A", "alt 2")
+def _logged_session(*alternatives):
+    """A session filled through ``log_record`` with engine records, one
+    evaluated alternative per (step, label)."""
+    explorer = Explorer.for_app("cavity")
+    point = explorer.space.point("baseline")
+    session = ExplorationSession()
+    for step, label in alternatives:
+        (record,) = explorer.evaluate_many([point.relabeled(label)], step)
+        session.log_record(record)
+    return session
+
+
+def test_session_logs_and_chooses():
+    session = _logged_session(("step A", "alt 1"), ("step A", "alt 2"))
     assert len(session.alternatives("step A")) == 2
     session.choose("step A", "alt 2")
     assert [e.chosen for e in session.alternatives("step A")] == [False, True]
@@ -92,14 +105,10 @@ def test_session_logs_and_chooses(btpc_program, constraints):
     assert "step A" in tree and "=>" in tree
 
 
-def test_rechoosing_clears_previous_choice(btpc_program, constraints):
-    session = ExplorationSession(
-        cycle_budget=constraints.cycle_budget,
-        frame_time_s=constraints.frame_time_s,
+def test_rechoosing_clears_previous_choice():
+    session = _logged_session(
+        ("step A", "alt 1"), ("step A", "alt 2"), ("step B", "other")
     )
-    session.evaluate(btpc_program, "step A", "alt 1")
-    session.evaluate(btpc_program, "step A", "alt 2")
-    session.evaluate(btpc_program, "step B", "other")
     session.choose("step A", "alt 1")
     session.choose("step A", "alt 2")  # the designer changes their mind
     assert [e.chosen for e in session.alternatives("step A")] == [False, True]
@@ -108,19 +117,6 @@ def test_rechoosing_clears_previous_choice(btpc_program, constraints):
     assert [e.chosen for e in session.alternatives("step A")] == [True, False]
     # Choosing in one step never disturbs another step's decision.
     assert [e.chosen for e in session.alternatives("step B")] == [True]
-
-
-def test_session_memoizes_repeated_evaluations(btpc_program, constraints):
-    session = ExplorationSession(
-        cycle_budget=constraints.cycle_budget,
-        frame_time_s=constraints.frame_time_s,
-    )
-    first = session.evaluate(btpc_program, "step A", "alt 1")
-    second = session.evaluate(btpc_program, "step A", "alt 1 again")
-    assert session.explorer.cache.hits == 1
-    assert first.report.memories == second.report.memories
-    # The decision log keeps per-alternative labels even across cache hits.
-    assert [e.report.label for e in session.evaluations] == ["alt 1", "alt 1 again"]
 
 
 def test_render_cost_table_layout():

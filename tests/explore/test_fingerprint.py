@@ -1,22 +1,15 @@
 """Incremental fingerprinting: byte-compatibility and memoization.
 
-The incremental paths (invariant program/library fragments + per-point
-knob digest) — the explorer's batched ``fingerprint_points`` and the
-spaceless ``fingerprint_from_parts`` — must produce fingerprints
-byte-identical to the monolithic ``fingerprint_request`` reference:
-that is what keeps existing ``DiskCache`` directories and golden files
-valid.
+The explorer's batched ``fingerprint_points`` (invariant
+program/library fragments + per-point knob digest) must produce
+fingerprints byte-identical to the monolithic ``fingerprint_request``
+reference: that is what keeps existing ``DiskCache`` directories and
+golden files valid.
 """
 
 import pytest
 
-from repro.api import (
-    DesignSpace,
-    Explorer,
-    fingerprint_from_parts,
-    fingerprint_request,
-    list_apps,
-)
+from repro.api import DesignSpace, Explorer, fingerprint_request, list_apps
 from repro.explore import fingerprint as fingerprint_module
 from repro.explore.fingerprint import cached_canonical_json, canonical_json
 from repro.memlib.library import default_library
@@ -42,22 +35,9 @@ def test_fingerprint_from_parts_matches_reference_on_edge_knobs():
     space.add_variant("v", build=_tiny_program)
     explorer = Explorer(space, area_weight=0.125, seed=7)
     points = [space.point("v", n_onchip=n_onchip) for n_onchip in (None, 0, 3)]
-    for point, batched in zip(points, explorer.fingerprint_points(points)):
-        request = explorer.request_for(point)
-        reference = fingerprint_request(request)
-        assert batched == reference
-        assert (
-            fingerprint_from_parts(
-                cached_canonical_json(request.program),
-                cached_canonical_json(request.library),
-                cycle_budget=request.cycle_budget,
-                frame_time_s=request.frame_time_s,
-                n_onchip=request.n_onchip,
-                area_weight=request.area_weight,
-                seed=request.seed,
-            )
-            == reference
-        )
+    assert explorer.fingerprint_points(points) == [
+        fingerprint_request(explorer.request_for(point)) for point in points
+    ]
 
 
 def _tiny_program():
@@ -155,7 +135,7 @@ def test_direct_library_mutation_invalidates_memoized_fragment():
 
 
 def test_shared_fragment_memo_stays_bounded():
-    """Sessions feeding a fresh program per call must not grow the
+    """Callers feeding a fresh object per call must not grow the
     process-wide fragment memo without limit."""
     from repro.explore.fingerprint import _FRAGMENTS, FRAGMENT_MEMO_ENTRIES
 
@@ -173,28 +153,3 @@ def test_shared_fragment_memo_stays_bounded():
     # recomputes to the same fragment.
     clone = dict(hot)
     assert cached_canonical_json(clone) == cached_canonical_json(hot)
-
-
-def test_fingerprint_from_parts_rejects_nothing_silently():
-    """The spliced blob is real JSON: fragments must be JSON texts."""
-    program_json = canonical_json({"p": 1})
-    library_json = canonical_json({"l": 2})
-    fingerprint = fingerprint_from_parts(
-        program_json,
-        library_json,
-        cycle_budget=100.0,
-        frame_time_s=0.001,
-        n_onchip=None,
-        area_weight=0.5,
-        seed=0,
-    )
-    assert len(fingerprint) == 64
-    assert fingerprint != fingerprint_from_parts(
-        program_json,
-        library_json,
-        cycle_budget=100.0,
-        frame_time_s=0.001,
-        n_onchip=2,
-        area_weight=0.5,
-        seed=0,
-    )
