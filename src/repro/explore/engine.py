@@ -331,7 +331,7 @@ class EvaluationCache:
         return f"{len(self)} entries, {self.hits} hits, {self.misses} misses"
 
     def stats_dict(self) -> Dict[str, Any]:
-        """Machine-readable counters (perf reports embed this).
+        """Machine-readable counters.
 
         In-process counters only, never a backend call: the service
         puts this into every ``end`` event and ``/v1/stats``, and

@@ -164,16 +164,6 @@ def cached_canonical_json(value: Any) -> str:
     return text
 
 
-def clear_fragment_memo() -> None:
-    """Drop every memoized fragment (cold-start simulation hook).
-
-    Perf cases and tests use this to measure what a genuinely fresh
-    process would pay; production code never needs it — the memo
-    revalidates by identity and is LRU-bounded.
-    """
-    _FRAGMENTS.clear()
-
-
 def canonical_json(value: Any) -> str:
     """The canonical JSON text of a value, as embedded in fingerprints.
 

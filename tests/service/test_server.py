@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.api import Explorer
+from repro.api import ExhaustiveSweep, Explorer
 from repro.dtse import pipeline
 from repro.explore.engine import ExplorationRecord
 from repro.service import (
@@ -353,13 +353,8 @@ def test_single_flight_failure_fans_out(monkeypatch, server):
         assert summary["failures"] == 2
 
 
-def test_eight_concurrent_clients_zero_duplicate_oracle_work(monkeypatch, server):
-    """The acceptance load test: >=8 overlapping sweeps, one oracle pass.
-
-    Oracle work is counted where it happens, at ``run_pmm``: infeasible
-    points enter it too (and fail there), so every fingerprint costs
-    exactly one call however the requests interleave.
-    """
+def count_oracle_calls(monkeypatch):
+    """Log every ``run_pmm`` call (infeasible points enter it too)."""
     oracle_calls = []
     run_pmm = pipeline.run_pmm
 
@@ -368,6 +363,17 @@ def test_eight_concurrent_clients_zero_duplicate_oracle_work(monkeypatch, server
         return run_pmm(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_pmm", counting_run_pmm)
+    return oracle_calls
+
+
+def test_eight_concurrent_clients_zero_duplicate_oracle_work(monkeypatch, server):
+    """The acceptance load test: >=8 overlapping sweeps, one oracle pass.
+
+    Oracle work is counted where it happens, at ``run_pmm``: infeasible
+    points enter it too (and fail there), so every fingerprint costs
+    exactly one call however the requests interleave.
+    """
+    oracle_calls = count_oracle_calls(monkeypatch)
     summaries = _concurrent_sweeps(server, 8)
     assert server.service.cache.misses == CAVITY_POINTS
     assert len(oracle_calls) == CAVITY_POINTS
@@ -384,6 +390,24 @@ def test_eight_concurrent_clients_zero_duplicate_oracle_work(monkeypatch, server
     assert stats["cache"]["hits"] + stats["points"]["coalesced"] <= (
         8 * CAVITY_POINTS - CAVITY_POINTS
     )
+
+
+def test_boot_over_a_warm_disk_corpus_streams_without_the_oracle(
+    monkeypatch, tmp_path
+):
+    """A restarted service reads the corpus an earlier sweep left on disk."""
+    Explorer.for_app("cavity", cache=str(tmp_path), on_error="skip").run(
+        ExhaustiveSweep()
+    )
+    oracle_calls = count_oracle_calls(monkeypatch)
+    with ServiceThread(ServiceConfig(port=0, cache_dir=tmp_path)) as thread:
+        with ServiceClient(*thread.address) as client:
+            events = list(client.sweep("cavity"))
+    assert events[0]["type"] == "start"
+    assert events[-1]["type"] == "end"
+    kinds = [e["type"] for e in events[1:-1]]
+    assert kinds.count("record") == CAVITY_RECORDS
+    assert oracle_calls == []
 
 
 # ----------------------------------------------------------------------
