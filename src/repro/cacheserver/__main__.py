@@ -9,11 +9,11 @@ Examples::
     # printed on startup), LRU-bounded to 10k entries.
     PYTHONPATH=src python -m repro.cacheserver --port 0 --max-entries 10000
 
-Point workers at it with ``Explorer(space, cache="remote://host:port")`` (an
-optional ``remote://host:port/some/dir`` path adds a local read-through
-fallback), or front the sweep service with it via ``python -m
-repro.service --cache remote://host:port``.  The server drains on
-SIGTERM/SIGINT and exits 0 on a clean drain.
+Point workers at it with ``Explorer(space, cache="remote://host:port")``,
+or front the sweep service with it via ``python -m repro.service --cache
+remote://host:port``.  While it is down, client probes miss and client
+stores are dropped.  The server drains on SIGTERM/SIGINT and exits 0 on
+a clean drain.
 """
 
 from __future__ import annotations

@@ -141,22 +141,21 @@ class CacheServer:
         }
 
     def hello_payload(self) -> Dict[str, Any]:
-        with self.lock:
-            entries = len(self.backend)
+        # No entry count: on a DiskCache corpus that is a scan of every
+        # shard directory, and every client connect would wait for it.
         return {
             "server": "repro.cacheserver",
             "protocol": protocol.CACHE_PROTOCOL_VERSION,
-            "entries": entries,
         }
 
     # ------------------------------------------------------------------
     async def handle_frame(self, body: bytes, handshook: bool) -> Tuple[bytes, bool]:
         """Dispatch one request frame; returns (response, handshook).
 
-        Every op that takes the backend lock — including HELLO and
-        LEN/STATS, which need ``len(backend)`` — runs on a worker
-        thread so a slow disk batch never stalls the event loop; only
-        protocol parsing happens inline.
+        Every op that takes the backend lock — including LEN/STATS,
+        which need ``len(backend)`` — runs on a worker thread so a slow
+        disk batch never stalls the event loop; only protocol parsing
+        and HELLO, which touches no backend, happen inline.
         """
         # repro: allow[RA001] sub-microsecond counter bump, never held over I/O
         with self.counters_lock:
@@ -169,8 +168,7 @@ class CacheServer:
                 )
             if opcode == protocol.OP_HELLO:
                 protocol.parse_hello(operand)
-                payload = await asyncio.to_thread(self.hello_payload)
-                return protocol.ok_payload(payload), True
+                return protocol.ok_payload(self.hello_payload()), True
             if opcode == protocol.OP_GET:
                 return await asyncio.to_thread(self._handle_get, operand), True
             if opcode == protocol.OP_PUT:

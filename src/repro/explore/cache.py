@@ -13,16 +13,13 @@ itself; this module owns the optional *persistent* store behind it:
   shards stay readable, so old cache directories remain valid.
 * :class:`RemoteCache` — the **network tier**: a client for the
   :mod:`repro.cacheserver` server, so sweeps stay warm across
-  *machines*.  Probes batch into single wire round trips; stores are
-  **write-behind** (a background flusher drains them, the sweep hot
-  path never blocks on the network); when the server is unreachable,
-  reads fall through to an optional local ``fallback`` backend and
-  stores land there too.
+  *machines*.  A probe batch is one synchronous ``GET`` round trip and
+  a store batch one ``PUT``; while the server is unreachable, probes
+  miss and stores are dropped.
 * :class:`MemoryCache` — an in-process LRU payload store: the cache
   server's memory-only corpus.
 
-``resolve_backend`` understands ``remote://host:port`` URLs (with an
-optional ``/local/fallback/dir`` path suffix), so
+``resolve_backend`` understands ``remote://host:port`` URLs, so
 ``Explorer(space, cache="remote://...")`` and ``python -m repro.service
 --cache remote://...`` plug whole worker fleets into one shared warm
 corpus.
@@ -45,7 +42,6 @@ import os
 import re
 import socket
 import tempfile
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -88,8 +84,10 @@ class CacheStats:
 
     ``hits``/``misses`` count :meth:`CacheBackend.get` outcomes at the
     backend level (the explorer keeps its own evaluation-level counters
-    on :class:`~repro.explore.engine.EvaluationCache`); ``corrupt``
-    counts unreadable on-disk entries that were tolerated as misses.
+    on :class:`~repro.explore.engine.EvaluationCache`); ``evictions``
+    counts entries removed to honour a bound, and entries a
+    :class:`RemoteCache` dropped instead of storing; ``corrupt`` counts
+    unreadable on-disk entries that were tolerated as misses.
     """
 
     hits: int = 0
@@ -442,79 +440,38 @@ class RemoteCache:
 
     Implements the full :class:`CacheBackend` protocol over one
     persistent TCP connection speaking the compact length-prefixed
-    wire protocol (the ``.rpc`` record codec end to end):
+    wire protocol (the ``.rpc`` record codec end to end).  Every call
+    is one synchronous round trip: :meth:`lookup_many` is **one**
+    batched ``GET`` for a whole sweep's fingerprints and
+    :meth:`store_many` one ``PUT`` (:meth:`get` and :meth:`put` are
+    the one-key cases).  A batch over the frame bound is split in
+    halves; a single entry over it is dropped and counted in
+    ``stats.evictions``.
 
-    * :meth:`lookup_many` is **one** batched ``GET`` round trip for a
-      whole sweep's fingerprints; :meth:`get` is the one-key case.
-    * :meth:`put`/:meth:`store_many` are **write-behind**: entries land
-      in a bounded in-memory queue and a background flusher pushes them
-      in batches, so the sweep hot path never blocks on the network.
-      Queued entries are visible to this process's reads immediately
-      (read-your-writes), and :meth:`flush` drains the queue on demand.
-    * When the server is unreachable, reads fall through to the
-      optional ``fallback`` backend (typically a local
-      :class:`DiskCache`) and queued stores are flushed there instead,
-      so a sweep keeps its warm corpus across a server outage.
-      Connection attempts back off for ``retry_seconds`` between
-      failures.
+    **Outages.**  While the server is unreachable a probe is a miss
+    (``stats.misses``) and a store is dropped (``stats.evictions``;
+    ``stats.stores`` counts only entries the server acknowledged).
+    After a failed round trip the client makes no connection attempt
+    for :attr:`RETRY_SECONDS`.  ``len()``, :meth:`clear` and
+    :meth:`server_stats` raise :class:`RemoteCacheError` instead.
 
-    Like every backend, instances are not internally synchronized
-    against *callers* — the :class:`~repro.explore.engine.
-    EvaluationCache` facade lock serializes backend traffic — but the
-    internal flusher thread is coordinated with its own locks, so the
-    write-behind path is safe by construction.
+    The client starts no thread and owns no lock: like every backend
+    it relies on the :class:`~repro.explore.engine.EvaluationCache`
+    facade lock to serialize its calls.
     """
 
     DEFAULT_PORT = 8712
+    #: Socket timeout (seconds) for connecting and for each round trip.
+    TIMEOUT = 5.0
+    #: Cooldown (seconds) after a failed round trip.
+    RETRY_SECONDS = 1.0
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
-        *,
-        fallback: Optional[CacheBackend] = None,
-        timeout: float = 5.0,
-        retry_seconds: float = 1.0,
-        write_behind: bool = True,
-        max_pending: int = 4096,
-        flush_batch: int = 512,
-    ) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if flush_batch < 1:
-            raise ValueError("flush_batch must be >= 1")
+    def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT) -> None:
         self.host = host
         self.port = port
-        self.fallback = fallback
-        self.timeout = timeout
-        self.retry_seconds = retry_seconds
-        self.write_behind = write_behind
-        self.max_pending = max_pending
-        self.flush_batch = flush_batch
-        #: Remote stores are unbounded from the client's point of view
-        #: (the server owns any entry bound).
-        self.max_entries: Optional[int] = None
         self.stats = CacheStats()
         self._sock: Optional[socket.socket] = None
-        #: Serializes the socket (foreground probes vs. the flusher).
-        self._io_lock = threading.Lock()
-        #: Guards ``_pending``/``_down_until``/``_closed``; the
-        #: condition wakes the flusher on new stores.
-        self._state_lock = threading.Lock()
-        self._flush_wakeup = threading.Condition(self._state_lock)
-        self._pending: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        #: Entries taken out of ``_pending`` for a push that has not
-        #: landed yet.  Keeping them here keeps them visible to reads
-        #: (read-your-writes) and lets :meth:`flush` distinguish "queue
-        #: empty" from "queue drained".
-        self._inflight: Dict[str, Dict[str, Any]] = {}
         self._down_until = 0.0
-        self._closed = False
-        self._flusher: Optional[threading.Thread] = None
-        #: The fallback backend is shared between foreground reads and
-        #: the flusher's outage writes; backends bring no locking of
-        #: their own.
-        self._fallback_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Socket plumbing
@@ -534,8 +491,8 @@ class RemoteCache:
         length = frame_length(self._recv_exact(sock, 4))
         return self._recv_exact(sock, length) if length else b""
 
-    def _connect_locked(self) -> socket.socket:
-        sock = socket.create_connection((self.host, self.port), self.timeout)
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection((self.host, self.port), self.TIMEOUT)
         try:
             sock.sendall(pack_frame(wire.hello_request()))
             wire.parse_payload_response(self._read_frame(sock))
@@ -545,14 +502,6 @@ class RemoteCache:
         self._sock = sock
         return sock
 
-    def _close_socket_locked(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
     def _rpc(self, body: bytes) -> bytes:
         """One request/response round trip, marking outages as it goes.
 
@@ -561,344 +510,104 @@ class RemoteCache:
         :class:`repro.cacheserver.protocol.RemoteError` when the server
         itself rejected the request.
         """
-        with self._state_lock:
-            if time.monotonic() < self._down_until:
-                raise RemoteCacheError(
-                    f"cache server {self.host}:{self.port} is in its "
-                    "retry cooldown"
-                )
+        if time.monotonic() < self._down_until:
+            raise RemoteCacheError(
+                f"cache server {self.host}:{self.port} is in its retry cooldown"
+            )
         # Framing the request can fail on its own (a body over the
         # 64 MiB frame bound) — that is a client-side size error, not
         # an outage: let FrameError propagate without closing a healthy
         # socket or starting the retry cooldown.
         frame = pack_frame(body)
-        with self._io_lock:
-            try:
-                sock = self._sock if self._sock is not None else self._connect_locked()
-                # repro: allow[RA002] _io_lock exists to serialize this socket
-                sock.sendall(frame)
-                return self._read_frame(sock)
-            except (OSError, FrameError, wire.WireProtocolError) as exc:
-                self._close_socket_locked()
-                with self._state_lock:
-                    self._down_until = time.monotonic() + self.retry_seconds
-                raise RemoteCacheError(
-                    f"cache server {self.host}:{self.port} unreachable: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-
-    def server_available(self) -> bool:
-        """One live round trip (HELLO-equivalent LEN); False on outage."""
         try:
-            self._rpc(wire.len_request())
-        except (RemoteCacheError, wire.RemoteError):
-            return False
-        return True
+            sock = self._sock if self._sock is not None else self._connect()
+            sock.sendall(frame)
+            return self._read_frame(sock)
+        except (OSError, FrameError, wire.WireProtocolError) as exc:
+            self.close()
+            self._down_until = time.monotonic() + self.RETRY_SECONDS
+            raise RemoteCacheError(
+                f"cache server {self.host}:{self.port} unreachable: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
-    # Reads
+    # The protocol
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         return self.lookup_many((key,)).get(key)
 
     def lookup_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-        """Bulk probe: queued writes, then one wire round trip.
-
-        Keys still sitting in the write-behind queue — or taken out of
-        it for a push that has not landed yet — resolve locally
-        (read-your-writes); the rest go to the server in a single
-        ``GET`` frame, falling through to the ``fallback`` backend when
-        the server is unreachable.
-        """
-        unique = dict.fromkeys(keys)
-        found: Dict[str, Dict[str, Any]] = {}
-        remaining: List[str] = []
-        with self._state_lock:
-            for key in unique:
-                payload = self._pending.get(key)
-                if payload is None:
-                    payload = self._inflight.get(key)
-                if payload is not None:
-                    found[key] = dict(payload)
-                else:
-                    remaining.append(key)
-        self.stats.hits += len(found)
-        if not remaining:
-            return found
-        records: Optional[Dict[str, Dict[str, Any]]] = None
+        """Bulk probe: one ``GET`` round trip for the unique keys."""
+        unique = list(dict.fromkeys(keys))
+        if not unique:
+            return {}
         try:
-            records = wire.parse_records_response(
-                self._rpc(wire.get_request(remaining))
-            )
+            records = wire.parse_records_response(self._rpc(wire.get_request(unique)))
         except (RemoteCacheError, wire.RemoteError):
-            if self.fallback is not None:
-                records = self._fallback_lookup(remaining)
-        if records is None:
             records = {}
-        for key in remaining:
+        found: Dict[str, Dict[str, Any]] = {}
+        for key in unique:
             payload = records.get(key)
             if payload is not None:
                 found[key] = payload
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
+        self.stats.hits += len(found)
+        self.stats.misses += len(unique) - len(found)
         return found
 
-    def _fallback_lookup(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-        with self._fallback_lock:
-            return self.fallback.lookup_many(keys)
-
-    # ------------------------------------------------------------------
-    # Writes (write-behind)
-    # ------------------------------------------------------------------
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         self.store_many({key: payload})
 
     def store_many(self, payloads: Mapping[str, Mapping[str, Any]]) -> None:
-        entries = {key: dict(payload) for key, payload in payloads.items()}
-        if not entries:
+        """One ``PUT`` round trip; the batch is dropped on failure."""
+        if not payloads:
             return
-        self.stats.stores += len(entries)
-        if not self.write_behind:
-            self._push(entries)
-            return
-        with self._flush_wakeup:
-            if self._closed:
-                raise RuntimeError("RemoteCache is closed")
-            for key, payload in entries.items():
-                self._pending[key] = payload
-                self._pending.move_to_end(key)
-            overflow = len(self._pending) > self.max_pending
-            self._ensure_flusher_locked()
-            self._flush_wakeup.notify_all()
-        if overflow:
-            # The queue bound is the hot path's memory protection:
-            # drain synchronously rather than grow without limit.
-            self.flush()
-
-    def _ensure_flusher_locked(self) -> None:
-        if self._flusher is None or not self._flusher.is_alive():
-            self._flusher = threading.Thread(
-                target=self._flush_loop, name="repro-remote-cache-flush", daemon=True
-            )
-            self._flusher.start()
-
-    def _take_batch_locked(self) -> Dict[str, Dict[str, Any]]:
-        batch: Dict[str, Dict[str, Any]] = {}
-        while self._pending and len(batch) < self.flush_batch:
-            key, payload = self._pending.popitem(last=False)
-            batch[key] = payload
-            self._inflight[key] = payload
-        return batch
-
-    def _store_on_fallback(self, entries: Mapping[str, Dict[str, Any]]) -> None:
-        with self._fallback_lock:
-            self.fallback.store_many(entries)
-
-    def _push(self, entries: Mapping[str, Dict[str, Any]]) -> bool:
-        """Land a batch server-side, or on the fallback during outages.
-
-        Returns False only when the entries could not be stored
-        anywhere (server down, no fallback) — the caller decides
-        whether to re-queue them.
-        """
         try:
-            wire.parse_count_response(self._rpc(wire.put_request(entries)))
-            return True
+            stored = wire.parse_count_response(self._rpc(wire.put_request(payloads)))
         except FrameError:
             # The batch serialized past the frame bound — a client-side
-            # size problem, never an outage.  Split and retry; a single
-            # entry that is itself oversized is a poison entry, so land
-            # it on the fallback when there is one, else drop it rather
-            # than requeue it forever.
-            if len(entries) > 1:
-                items = list(entries.items())
-                mid = len(items) // 2
-                first = self._push(dict(items[:mid]))
-                second = self._push(dict(items[mid:]))
-                return first and second
-            if self.fallback is not None:
-                self._store_on_fallback(entries)
-            else:
-                self.stats.evictions += len(entries)
-            return True
-        except (RemoteCacheError, wire.RemoteError):
-            if self.fallback is None:
-                return False
-            self._store_on_fallback(entries)
-            return True
-
-    def _finish_batch(self, entries: Mapping[str, Dict[str, Any]]) -> None:
-        """Retire a delivered batch and wake anyone waiting in flush()."""
-        with self._flush_wakeup:
-            for key in entries:
-                self._inflight.pop(key, None)
-            self._flush_wakeup.notify_all()
-
-    def _requeue(self, entries: Dict[str, Dict[str, Any]]) -> None:
-        with self._flush_wakeup:
-            for key in entries:
-                self._inflight.pop(key, None)
-            # Undelivered entries go back to the *front* (oldest-first
-            # order is preserved for the next attempt); the bound still
-            # holds — beyond it the oldest entries are dropped and
-            # counted as evictions.  Entries re-stored while the batch
-            # was in flight keep their fresher values (update() wins).
-            fresh = self._pending
-            self._pending = OrderedDict(entries)
-            self._pending.update(fresh)
-            while len(self._pending) > self.max_pending:
-                self._pending.popitem(last=False)
+            # size problem, never an outage.  Split it; a single entry
+            # that is itself oversized can never be sent.
+            if len(payloads) == 1:
                 self.stats.evictions += 1
-            self._flush_wakeup.notify_all()
-
-    def _flush_loop(self) -> None:
-        while True:
-            with self._flush_wakeup:
-                while not self._pending and not self._closed:
-                    self._flush_wakeup.wait()
-                if not self._pending:
-                    return  # closed and drained
-                batch = self._take_batch_locked()
-            if self._push(batch):
-                self._finish_batch(batch)
-            else:
-                self._requeue(batch)
-                with self._flush_wakeup:
-                    if self._closed:
-                        return
-                    # Back off until the cooldown passes (an incoming
-                    # store or close() wakes the wait early).
-                    self._flush_wakeup.wait(self.retry_seconds)
-
-    def flush(self, timeout: Optional[float] = None) -> bool:
-        """Drain the write-behind queue now.
-
-        Returns True once every queued entry has landed (server or
-        fallback) — including batches the background flusher had
-        already taken but not yet delivered; False if the server is
-        unreachable with no fallback to absorb the queue, or the
-        timeout expired first.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._flush_wakeup:
-                if not self._pending and not self._inflight:
-                    return True
-                if deadline is not None and time.monotonic() > deadline:
-                    return False
-                batch = self._take_batch_locked()
-                if not batch:
-                    # The background flusher owns every outstanding
-                    # entry; wait for it to deliver (or requeue) its
-                    # batch rather than reporting a drain that has not
-                    # happened yet.
-                    if deadline is None:
-                        self._flush_wakeup.wait(self.retry_seconds)
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            return False
-                        self._flush_wakeup.wait(
-                            min(self.retry_seconds, remaining)
-                        )
-                    continue
-            if self._push(batch):
-                self._finish_batch(batch)
-            else:
-                self._requeue(batch)
-                if deadline is None:
-                    return False
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                # The retry cooldown (possibly refreshed by the
-                # background flusher's own attempts) blocks immediate
-                # retries; spend the timeout budget waiting it out —
-                # a restarted server is reached on a later pass.
-                time.sleep(min(self.retry_seconds, remaining))
-
-    # ------------------------------------------------------------------
-    # The rest of the protocol
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        try:
-            return wire.parse_count_response(self._rpc(wire.len_request()))
+                return
+            items = list(payloads.items())
+            mid = len(items) // 2
+            self.store_many(dict(items[:mid]))
+            self.store_many(dict(items[mid:]))
+            return
         except (RemoteCacheError, wire.RemoteError):
-            with self._state_lock:
-                pending = len(self._pending) + len(self._inflight)
-            if self.fallback is not None:
-                with self._fallback_lock:
-                    return len(self.fallback)
-            return pending
+            self.stats.evictions += len(payloads)
+            return
+        self.stats.stores += stored
+
+    def __len__(self) -> int:
+        """The server's entry count (one ``LEN`` round trip)."""
+        return wire.parse_count_response(self._rpc(wire.len_request()))
 
     def server_stats(self) -> Dict[str, Any]:
         """The server's live counter payload (one ``STATS`` round trip)."""
         return wire.parse_payload_response(self._rpc(wire.stats_request()))
 
     def clear(self) -> None:
-        """Drop queued writes, the server corpus, and the fallback.
-
-        A clear during an outage still clears the local side; the
-        server is cleared on a best-effort basis (it may keep its
-        corpus until it is reachable again).
-        """
-        with self._state_lock:
-            self._pending.clear()
-            self._inflight.clear()
-        try:
-            wire.parse_response(self._rpc(wire.clear_request()))
-        except (RemoteCacheError, wire.RemoteError):
-            pass
-        if self.fallback is not None:
-            with self._fallback_lock:
-                self.fallback.clear()
+        """Drop the server corpus and reset this client's counters."""
+        wire.parse_response(self._rpc(wire.clear_request()))
         self.stats.reset()
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Flush what the window allows, stop the flusher, hang up."""
-        self.flush(timeout=timeout)
-        with self._flush_wakeup:
-            self._closed = True
-            flusher = self._flusher
-            self._flush_wakeup.notify_all()
-        if flusher is not None and flusher.is_alive():
-            flusher.join(timeout)
-        with self._io_lock:
-            self._close_socket_locked()
+    def close(self) -> None:
+        """Hang up; the next call reconnects."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "RemoteCache":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        # A module-scope RemoteCache collected at interpreter exit must
-        # not run close(): flush() would block on the network and the
-        # module globals it touches (time, the wire codec) may already
-        # be None'd.  Signal the daemon flusher, hang up the socket —
-        # instance state and builtins only, nothing that can block.
-        try:
-            wakeup = self.__dict__.get("_flush_wakeup")
-            if wakeup is not None and wakeup.acquire(blocking=False):
-                try:
-                    self._closed = True
-                    wakeup.notify_all()
-                finally:
-                    wakeup.release()
-            io_lock = self.__dict__.get("_io_lock")
-            if io_lock is not None and io_lock.acquire(blocking=False):
-                try:
-                    sock = self._sock
-                    self._sock = None
-                    if sock is not None:
-                        sock.close()
-                finally:
-                    io_lock.release()
-        # repro: allow[RA006] finalizer: logging/counters are torn down
-        except Exception:  # noqa: BLE001 - interpreter is exiting
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -908,29 +617,13 @@ class RemoteCache:
 REMOTE_SCHEME = "remote://"
 
 
-def parse_remote_url(url: str) -> Tuple[str, int, Optional[str]]:
-    """``remote://host:port[/fallback/dir]`` -> (host, port, fallback).
-
-    The optional path component names a **local** directory used as the
-    read-through/write-through fallback while the server is
-    unreachable; without it the remote tier stands alone.
-    """
-    if not url.startswith(REMOTE_SCHEME):
-        raise ValueError(f"not a remote cache URL: {url!r}")
-    rest = url[len(REMOTE_SCHEME) :]
-    netloc, slash, path = rest.partition("/")
-    host, colon, port_text = netloc.rpartition(":")
-    if not colon or not host or not port_text:
-        raise ValueError(
-            f"remote cache URL must be remote://host:port[/fallback/dir], "
-            f"got {url!r}"
-        )
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"bad port in remote cache URL {url!r}") from None
-    fallback = f"/{path}" if slash and path else None
-    return host, port, fallback
+def parse_remote_url(url: str) -> Tuple[str, int]:
+    """``remote://host:port`` -> (host, port); any other form is a ValueError."""
+    rest = url[len(REMOTE_SCHEME) :] if url.startswith(REMOTE_SCHEME) else ""
+    host, _, port = rest.rpartition(":")
+    if "/" in rest or not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"remote cache URL must be remote://host:port, got {url!r}")
+    return host, int(port)
 
 
 def resolve_backend(
@@ -942,9 +635,8 @@ def resolve_backend(
 
     ``None`` -> ``None``: no backend, the
     :class:`~repro.explore.engine.EvaluationCache` decoded tier is the
-    whole memo.  A ``remote://host:port`` URL -> a :class:`RemoteCache`
-    (with a local :class:`DiskCache` fallback when the URL carries a
-    path).  Any other string or path -> a :class:`DiskCache` rooted
+    whole memo.  A ``remote://host:port`` URL -> a :class:`RemoteCache`.
+    Any other string or path -> a :class:`DiskCache` rooted
     there, bounded by ``max_entries``.  An existing backend passes
     through (``max_entries`` then must be left unset — the backend
     already owns its bound).  For ``None`` and remote URLs,
@@ -954,9 +646,7 @@ def resolve_backend(
     if cache is None:
         return None
     if isinstance(cache, str) and cache.startswith(REMOTE_SCHEME):
-        host, port, fallback_root = parse_remote_url(cache)
-        fallback = DiskCache(fallback_root) if fallback_root is not None else None
-        return RemoteCache(host, port, fallback=fallback)
+        return RemoteCache(*parse_remote_url(cache))
     if isinstance(cache, (str, Path)):
         return DiskCache(cache, max_entries=max_entries)
     if isinstance(cache, CacheBackend):

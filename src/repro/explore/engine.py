@@ -296,17 +296,8 @@ class EvaluationCache:
         with self.lock:
             self.misses += n
 
-    def flush(self, timeout: Optional[float] = None) -> bool:
-        """Drain a write-behind backend (:class:`RemoteCache` queues
-        stores); synchronous backends are a no-op True."""
-        with self.lock:
-            flush = getattr(self.backend, "flush", None)
-            if flush is None:
-                return True
-            return bool(flush(timeout=timeout))
-
     def close_backend(self) -> None:
-        """Release backend resources (network connections, flushers).
+        """Release backend resources (a network connection).
 
         Backends without a ``close`` (the in-process ones) are a no-op;
         the cache itself stays usable — a :class:`RemoteCache` would
@@ -742,9 +733,9 @@ class Explorer:
         ``remote://host:port`` URL (a
         :class:`~repro.explore.cache.RemoteCache` client of the
         :mod:`repro.cacheserver` network tier, so the memo is shared
-        across machines; an optional ``/local/dir`` path suffix adds a
-        read-through fallback for server outages).  A private in-memory
-        cache is created when omitted.
+        across machines; while the server is unreachable, probes miss
+        and stores are dropped).  A private in-memory cache is created
+        when omitted.
     on_error:
         ``"raise"`` (default) propagates oracle failures; ``"skip"``
         drops infeasible points from the batch instead, recording them

@@ -221,15 +221,13 @@ class SweepService:
             return explorer
 
     def close(self) -> None:
-        """Release every explorer's worker pool (idempotent)."""
+        """Release every explorer's worker pool and the cache backend's
+        connection (idempotent)."""
         with self._explorer_lock:
             explorers = list(self._explorers.values())
         for explorer in explorers:
             explorer.close()
-        # A write-behind backend (RemoteCache) may still hold queued
-        # stores; drain them so the shared tier keeps everything this
-        # service evaluated.  Synchronous backends are a no-op.
-        self.cache.flush()
+        self.cache.close_backend()
 
     # ------------------------------------------------------------------
     # Admission control

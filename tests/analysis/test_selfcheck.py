@@ -31,11 +31,10 @@ def test_every_suppression_carries_a_reason():
 
 def test_known_audited_suppressions_present():
     # The PR 9 audit's accepted findings: loop-thread counter bumps in
-    # the cache server, the serialized-socket send in RemoteCache, and
-    # the interpreter-exit finalizers.  If a refactor removes one, this
-    # list (not the gate above) is what should change.
+    # the cache server and the interpreter-exit finalizer.  If a
+    # refactor removes one, this list (not the gate above) is what
+    # should change.
     report = run_check([SRC], all_rules())
     suppressed = {(f.rule, Path(f.path).name) for f in report.findings if f.suppressed}
     assert ("RA001", "server.py") in suppressed
-    assert ("RA002", "cache.py") in suppressed
     assert ("RA006", "engine.py") in suppressed

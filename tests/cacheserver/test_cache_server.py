@@ -1,16 +1,18 @@
 """The shared cache tier end to end: server, RemoteCache, bounded memo.
 
 Covers the acceptance scenarios for the network tier: two clients
-sharing one warm corpus with zero duplicate oracle evaluations,
-read-through fallback while the server is down, a mixed-format
-(``.rpc`` + legacy ``.json``) corpus served remotely byte-identically
-to local reads, and a ``max_entries`` bound on a remote client's
-in-process memo.
+sharing one warm corpus with zero duplicate oracle evaluations, the
+outage contract (probes miss, stores are dropped, one connection
+attempt per retry cooldown) and recovery once the server is back, a
+mixed-format (``.rpc`` + legacy ``.json``) corpus served remotely
+byte-identically to local reads, and a ``max_entries`` bound on a
+remote client's in-process memo.
 """
 
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.explore import (
     MemoryCache,
     RemoteCache,
 )
+from repro.explore.cache import RemoteCacheError
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 
 
@@ -36,9 +39,8 @@ def server():
         yield srv
 
 
-def make_client(server, **kwargs):
-    host, port = server.address
-    return RemoteCache(host, port, **kwargs)
+def make_client(server):
+    return RemoteCache(*server.address)
 
 
 # ----------------------------------------------------------------------
@@ -48,8 +50,8 @@ class TestRoundTrips:
     def test_put_get_len_clear(self, server):
         with make_client(server) as client:
             client.put("k1", {"x": 1})
+            assert len(client) == 1  # the store is synchronous
             client.put("k2", {"__infeasible__": "nope"})
-            assert client.flush(timeout=10)
             assert len(client) == 2
             assert client.get("k1") == {"x": 1}
             assert client.get("k2") == {"__infeasible__": "nope"}
@@ -57,25 +59,16 @@ class TestRoundTrips:
             client.clear()
             assert len(client) == 0
 
-    def test_read_your_writes_before_flush(self, server):
-        with make_client(server) as client:
-            client.put("pending", {"v": 7})
-            # The entry may still be in the write-behind queue, yet the
-            # probe must see it.
-            assert client.get("pending") == {"v": 7}
-
     def test_lookup_many_batches(self, server):
         with make_client(server) as client:
             payloads = {f"k{i}": {"i": i} for i in range(50)}
             client.store_many(payloads)
-            assert client.flush(timeout=10)
             found = client.lookup_many(list(payloads) + ["missing"])
             assert found == payloads
 
     def test_server_stats_counters(self, server):
         with make_client(server) as client:
             client.put("k", {"v": 1})
-            assert client.flush(timeout=10)
             client.get("k")
             stats = client.server_stats()
             assert stats["server"] == "repro.cacheserver"
@@ -83,15 +76,9 @@ class TestRoundTrips:
             assert stats["keys_stored"] == 1
             assert stats["keys_served"] >= 1
 
-    def test_synchronous_stores(self, server):
-        with make_client(server, write_behind=False) as client:
-            client.put("k", {"v": 2})
-            assert len(client) == 1  # no flush needed
-
     def test_client_stats_hits_and_misses(self, server):
         with make_client(server) as client:
             client.put("k", {"v": 1})
-            assert client.flush(timeout=10)
             client.get("k")
             client.get("absent")
             assert client.stats.hits == 1
@@ -102,6 +89,13 @@ class TestRoundTrips:
 # ----------------------------------------------------------------------
 # Raw frames (no client sugar): handshake discipline, the key rule
 # ----------------------------------------------------------------------
+class _Uncountable(MemoryCache):
+    """Server backend that cannot count its entries."""
+
+    def __len__(self):
+        raise RuntimeError("no entry count")
+
+
 class TestHandshake:
     @staticmethod
     def _exchange(address, *bodies):
@@ -142,6 +136,17 @@ class TestHandshake:
         info = protocol.parse_payload_response(response)
         assert info["server"] == "repro.cacheserver"
         assert info["protocol"] == protocol.CACHE_PROTOCOL_VERSION
+        assert "entries" not in info  # counting is STATS' job
+
+    def test_hello_does_not_count_the_corpus(self):
+        """A connect costs the server no ``len(backend)``: a backend
+        that cannot count still serves a client's put and get."""
+        config = CacheServerConfig(host="127.0.0.1", port=0)
+        with CacheServerThread(config, backend=_Uncountable()) as srv:
+            with make_client(srv) as client:
+                client.put("k", {"v": 1})
+                assert srv.core.keys_stored == 1
+                assert client.get("k") == {"v": 1}
 
     def test_traversal_key_put_is_refused(self, tmp_path):
         """A PUT key that names a path outside the corpus gets an error
@@ -173,7 +178,6 @@ class TestSharedCorpus:
         first = Explorer.for_app("cavity", cache=server.url, on_error="skip")
         cold = first.run(ExhaustiveSweep())
         assert first.cache.misses > 0  # the cold sweep did real work
-        assert first.cache.flush(timeout=30)
         first.cache.close_backend()
 
         second = Explorer.for_app("cavity", cache=server.url, on_error="skip")
@@ -195,7 +199,6 @@ class TestSharedCorpus:
                     for i in range(offset, 40, 2):
                         key = f"fp{i}"
                         client.put(key, payloads[key])
-                    assert client.flush(timeout=30)
                     for _ in range(5):
                         found = client.lookup_many(sorted(payloads))
                         for key, payload in found.items():
@@ -230,7 +233,6 @@ class TestSharedCorpus:
                     records=records,
                 )
             )
-            assert worker.cache.flush(timeout=30)
             worker.cache.close_backend()
         merged = ExplorationResult.merged(partials)
 
@@ -250,7 +252,6 @@ class TestSharedCorpus:
         with ServiceThread(config) as service:
             with ServiceClient(*service.address) as client:
                 list(client.sweep("cavity"))
-                assert service.service.cache.flush(timeout=30)
                 before = server.core.requests_total
                 events = list(client.sweep("cavity"))
                 assert server.core.requests_total == before
@@ -261,130 +262,79 @@ class TestSharedCorpus:
 
 
 # ----------------------------------------------------------------------
-# Outage behavior: read-through fallback, recovery
-class _GatedBackend(MemoryCache):
-    """Server backend whose store_many blocks until ``gate`` opens.
-
-    Holds a client batch in its in-flight window deterministically:
-    ``entered`` fires once the server is sitting on the batch.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.entered = threading.Event()
-        self.gate = threading.Event()
-
-    def store_many(self, payloads):
-        self.entered.set()
-        if not self.gate.wait(10):
-            raise RuntimeError("gate never opened")
-        return super().store_many(payloads)
-
-
+# What a round trip falls back to: a miss, a drop, a split batch
 # ----------------------------------------------------------------------
 class TestFallback:
-    def test_reads_fall_through_when_server_down(self, tmp_path):
-        local = DiskCache(tmp_path / "fallback")
-        local.put("warm", {"v": 42})
-        # Port 1 refuses connections; the client must serve from disk.
-        client = RemoteCache(
-            "127.0.0.1", 1, fallback=local, retry_seconds=0.05
-        )
-        assert client.get("warm") == {"v": 42}
-        assert client.get("absent") is None
-        client.close(timeout=1.0)
+    def test_outage_probes_miss_and_stores_drop(self, monkeypatch):
+        with CacheServerThread(CacheServerConfig(host="127.0.0.1", port=0)) as srv:
+            address = srv.address
+        # The server is gone.  Count connection attempts; a long
+        # cooldown keeps the whole test inside the first one.
+        attempts = []
+        connect = socket.create_connection
 
-    def test_stores_land_on_fallback_when_server_down(self, tmp_path):
-        local = DiskCache(tmp_path / "fallback")
-        client = RemoteCache(
-            "127.0.0.1", 1, fallback=local, retry_seconds=0.05
-        )
-        client.put("k", {"v": 3})
-        assert client.flush(timeout=10)  # absorbed by the fallback
-        assert local.get("k") == {"v": 3}
-        assert len(client) == 1
-        client.close(timeout=1.0)
+        def counting_connect(*args, **kwargs):
+            attempts.append(args)
+            return connect(*args, **kwargs)
 
-    def test_no_fallback_flush_reports_failure(self):
-        client = RemoteCache("127.0.0.1", 1, retry_seconds=0.05)
-        client.put("k", {"v": 4})
-        assert client.flush(timeout=0.5) is False
-        assert client.get("k") == {"v": 4}  # still pending, still readable
-        client.close(timeout=0.2)
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
+        monkeypatch.setattr(RemoteCache, "RETRY_SECONDS", 60.0)
+        client = RemoteCache(*address)
+        assert client.get("k") is None
+        client.put("k", {"v": 1})
+        client.store_many({"a": {"v": 2}, "b": {"v": 3}})
+        assert client.lookup_many(["a", "b"]) == {}
+        assert client.stats.misses == 3
+        assert client.stats.evictions == 3
+        assert client.stats.stores == 0
+        for call in (len, RemoteCache.clear, RemoteCache.server_stats):
+            with pytest.raises(RemoteCacheError):
+                call(client)
+        assert len(attempts) == 1
+        client.close()
 
-    def test_resolve_remote_url_with_fallback_dir(self, tmp_path):
-        from repro.explore import resolve_backend
-
-        root = tmp_path / "fb"
-        backend = resolve_backend(f"remote://127.0.0.1:1{root}")
-        assert isinstance(backend, RemoteCache)
-        assert isinstance(backend.fallback, DiskCache)
-        assert backend.fallback.root == root
-        backend.close(timeout=1.0)
-
-    def test_flush_waits_for_inflight_batch(self):
-        """A batch the flusher has taken but not delivered is not drained.
-
-        flush() must not report True while the background flusher holds
-        an undelivered batch, and the batch's keys must stay readable
-        for the whole in-flight window (read-your-writes).
-        """
-        backend = _GatedBackend()
-        with CacheServerThread(
-            CacheServerConfig(host="127.0.0.1", port=0), backend=backend
-        ) as srv:
-            client = make_client(srv)
-            try:
-                client.put("k", {"v": 1})
-                # The server's store_many is now holding the batch the
-                # flusher sent: the entry is neither pending nor stored.
-                assert backend.entered.wait(10)
-                assert client.flush(timeout=0.3) is False
-                assert client.get("k") == {"v": 1}
-                backend.gate.set()
-                assert client.flush(timeout=10) is True
-                assert backend.get("k") == {"v": 1}
-            finally:
-                backend.gate.set()
-                client.close(timeout=5.0)
+    def test_next_store_reaches_a_restarted_server(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(RemoteCache, "RETRY_SECONDS", 0.1)
+        corpus = tmp_path / "corpus"
+        config = CacheServerConfig(host="127.0.0.1", port=0, cache_dir=corpus)
+        with CacheServerThread(config) as first:
+            host, port = first.address
+        client = RemoteCache(host, port)
+        client.put("lost", {"v": 0})  # the server is down: dropped
+        assert client.stats.evictions == 1
+        # Same corpus, new incarnation on the same port.
+        restarted = CacheServerConfig(host=host, port=port, cache_dir=corpus)
+        with CacheServerThread(restarted):
+            time.sleep(2 * RemoteCache.RETRY_SECONDS)  # past the cooldown
+            client.put("k", {"v": 5})
+            assert client.stats.stores == 1
+            assert client.get("k") == {"v": 5}
+            client.close()
+        assert DiskCache(corpus).get("k") == {"v": 5}
+        assert DiskCache(corpus).get("lost") is None
 
     def test_oversized_entry_does_not_poison_queue(self, server, monkeypatch):
-        """A batch over the frame bound is split, not retried forever.
+        """A batch over the frame bound is split in halves.
 
         A single entry that cannot fit in one frame is dropped (counted
-        as an eviction) instead of being requeued as a poison batch;
-        the entries around it still land.
+        as an eviction); the entries around it still land.
         """
         import repro.costs.report as report
 
         monkeypatch.setattr(report, "FRAME_MAX_BYTES", 4096)
         with make_client(server) as client:
-            client.put("small", {"v": 1})
-            client.put("big", {"blob": "x" * 8192})
-            client.put("small2", {"v": 2})
-            assert client.flush(timeout=10) is True
+            client.store_many(
+                {
+                    "small": {"v": 1},
+                    "big": {"blob": "x" * 8192},
+                    "small2": {"v": 2},
+                }
+            )
             assert client.get("small") == {"v": 1}
             assert client.get("small2") == {"v": 2}
-            assert client.stats.evictions >= 1
-
-    def test_queue_survives_outage_until_server_returns(self, tmp_path):
-        config = CacheServerConfig(
-            host="127.0.0.1", port=0, cache_dir=tmp_path / "corpus"
-        )
-        with CacheServerThread(config) as first:
-            host, port = first.address
-        # Server is now down; writes queue client-side.
-        client = RemoteCache(host, port, retry_seconds=0.05)
-        client.put("k", {"v": 5})
-        assert client.flush(timeout=1) is False
-        # Same corpus, new incarnation on the same port: the retry
-        # drains the queue into it.
-        with CacheServerThread(
-            CacheServerConfig(host=host, port=port, cache_dir=tmp_path / "corpus")
-        ):
-            assert client.flush(timeout=10)
-            assert client.get("k") == {"v": 5}
-        client.close(timeout=1.0)
+            assert client.get("big") is None
+            assert client.stats.evictions == 1
+            assert client.stats.stores == 2
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +374,6 @@ class TestBoundedRemoteMemo:
         assert cache.max_entries == 2
         reports = {f"fp{i}": CostReport(label=f"r{i}") for i in range(4)}
         cache.store_many(reports)
-        assert cache.flush(timeout=10)
         # The bound holds in memory; the server keeps every entry.
         assert cache.decoded_entries == 2
         assert len(cache) == 4

@@ -44,7 +44,6 @@ def test_cli_serves_and_drains_on_sigterm(tmp_path):
 
         with RemoteCache(host, port) as client:
             client.put("smoke", {"v": 1})
-            assert client.flush(timeout=30)
             assert client.get("smoke") == {"v": 1}
             assert len(client) == 1
             stats = client.server_stats()

@@ -564,33 +564,30 @@ def test_disk_cache_get_sees_sibling_writes(tmp_path):
 # resolve_backend: remote URLs and format plumbing
 # ----------------------------------------------------------------------
 def test_parse_remote_url_variants():
-    assert parse_remote_url("remote://host:123") == ("host", 123, None)
-    assert parse_remote_url("remote://10.0.0.1:8712/var/fb") == (
-        "10.0.0.1",
-        8712,
-        "/var/fb",
-    )
-    for bad in ("remote://host", "remote://:123", "remote://host:abc", "x://h:1"):
-        with pytest.raises(ValueError):
+    assert parse_remote_url("remote://host:123") == ("host", 123)
+    assert parse_remote_url("remote://10.0.0.1:8712") == ("10.0.0.1", 8712)
+    for bad in (
+        "remote://host",
+        "remote://:123",
+        "remote://host:abc",
+        "x://h:1",
+        "remote://h:1/var/fb",
+        "remote://h:70000",
+    ):
+        with pytest.raises(ValueError, match="remote://host:port"):
             parse_remote_url(bad)
 
 
-def test_resolve_backend_remote_variants(tmp_path):
+def test_resolve_backend_remote_variants():
     backend = resolve_backend("remote://127.0.0.1:1")
     assert isinstance(backend, RemoteCache)
-    assert backend.fallback is None
-    backend.close(timeout=0.1)
+    assert (backend.host, backend.port) == ("127.0.0.1", 1)
+    backend.close()
 
     # The bound belongs to the caller's in-process memo, not the backend.
     bounded = resolve_backend("remote://127.0.0.1:1", max_entries=16)
     assert isinstance(bounded, RemoteCache)
-    bounded.close(timeout=0.1)
-
-    root = tmp_path / "fb"
-    with_fallback = resolve_backend(f"remote://127.0.0.1:1{root}")
-    assert isinstance(with_fallback.fallback, DiskCache)
-    assert with_fallback.fallback.root == root
-    with_fallback.close(timeout=0.1)
+    bounded.close()
 
 
 def test_evaluation_cache_remote_url_passthrough():
@@ -622,7 +619,6 @@ def test_memory_only_cache_holds_one_entry_per_fingerprint():
         "bad": (None, "infeasible corner"),
     }
     assert shared.stats_dict()["backend"] is None
-    assert shared.flush() is True
     shared.close_backend()  # no backend to release: a no-op
     shared.clear()
     assert len(shared) == 0
