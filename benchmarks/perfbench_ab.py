@@ -13,7 +13,9 @@ their bounds come from the change's ``BENCHMARK.json``.
 The gate fails when any run exits non-zero, prints no JSON result line
 or reports ``"correct": false`` (its output is printed), or when a
 metric's change median is worse than the parent median by more than
-the metric's bound.  One markdown table goes to stdout, and is appended
+the metric's bound; that failure lists both sides' values seed by seed,
+so it shows whether one seed moved or all of them did.  One markdown
+table goes to stdout, and is appended
 to ``$GITHUB_STEP_SUMMARY`` when that is set; the exit status is 1 on
 any failure.
 """
@@ -87,21 +89,35 @@ def compare(spec: Dict[str, Any], results: Results) -> Tuple[List[Row], List[str
                     failures.append(
                         f'{workload}: {side} seed {seed} reports "correct": false'
                     )
-            measured[side] = [result for result in runs.values() if result]
+            measured[side] = {
+                seed: result for seed, result in sorted(runs.items()) if result
+            }
         if not all(measured.values()):
             continue
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            parent, change = (
-                statistics.median(r["metrics"][name]["value"] for r in measured[side])
+            values = {
+                side: {
+                    seed: r["metrics"][name]["value"]
+                    for seed, r in measured[side].items()
+                }
                 for side in SIDES
+            }
+            parent, change = (
+                statistics.median(values[side].values()) for side in SIDES
             )
             passed = within_bound(parent, change, metric["better"], metric["bound"])
             rows.append(Row(workload, name, parent, change, metric["bound"], passed))
             if not passed:
+                per_seed = "; ".join(
+                    f"{side} by seed "
+                    + ", ".join(f"{seed}: {v:.4g}" for seed, v in values[side].items())
+                    for side in SIDES
+                )
                 failures.append(
                     f"{workload}: {name} median {change:.4g} against the parent's "
-                    f"{parent:.4g}, beyond the {metric['bound']:.0%} bound"
+                    f"{parent:.4g}, beyond the {metric['bound']:.0%} bound "
+                    f"({per_seed})"
                 )
     return rows, failures
 

@@ -16,9 +16,15 @@ oracle, with two performance layers the ad-hoc drivers never had:
   over a **persistent** :class:`concurrent.futures.ProcessPoolExecutor`
   owned by the explorer (created lazily, reused across batches and
   strategy steps, released by :meth:`Explorer.close` or the context
-  manager); results come back in deterministic point order regardless
-  of completion order.  Batches smaller than ``min_parallel_batch``
-  fall back to the serial path so tiny sweeps never pay fork cost.
+  manager).  A cold pool is spun up only for batches of at least
+  :attr:`Explorer.MIN_PARALLEL_BATCH` misses, so tiny sweeps never pay
+  fork cost.
+
+Serial and pooled batches share one miss path: one worker function
+yields an outcome per miss, and one loop consumes them in point order,
+counts them, fails on the first error in ``on_error="raise"`` mode and
+stores the batch in one :meth:`EvaluationCache.store_many`.  A batch's
+result therefore depends neither on ``workers`` nor on batch size.
 
 Search strategies (:mod:`repro.explore.strategies`) sit on top and only
 ever talk to the explorer, so caching and parallelism apply to every
@@ -42,6 +48,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -97,6 +104,11 @@ class EvaluationCache:
     URL, a :class:`~repro.explore.cache.RemoteCache` shares them across
     *machines* via :mod:`repro.cacheserver`; ``backend=`` takes any
     caller-provided :class:`~repro.explore.cache.CacheBackend`.
+
+    There is one probe, :meth:`lookup_many`, and one store,
+    :meth:`store_many`, which takes reports and failure messages
+    together; one fingerprint is a one-element batch.  Each makes at
+    most one backend call (one wire round trip behind ``remote://``).
 
     ``hits``/``misses`` count *evaluations* the explorer resolved from
     cache versus ran through the oracle; the backend's own
@@ -176,19 +188,6 @@ class EvaluationCache:
             while len(decoded) > self.max_entries:
                 decoded.popitem(last=False)
 
-    def _decode_payload(
-        self, fingerprint: str, payload: Mapping[str, Any]
-    ) -> Tuple[Optional[CostReport], Optional[str]]:
-        if self.FAILURE_KEY in payload:
-            entry: Tuple[Optional[CostReport], Optional[str]] = (
-                None,
-                str(payload[self.FAILURE_KEY]),
-            )
-        else:
-            entry = (CostReport.from_dict(payload), None)
-        self._remember(fingerprint, entry)
-        return entry
-
     @property
     def decoded_entries(self) -> int:
         """Current size of the decoded tier."""
@@ -196,29 +195,8 @@ class EvaluationCache:
             return len(self._decoded)
 
     # ------------------------------------------------------------------
-    # Probes
+    # The probe and the store
     # ------------------------------------------------------------------
-    def lookup(
-        self, fingerprint: str
-    ) -> Tuple[Optional[CostReport], Optional[str]]:
-        """One probe: (report, None), (None, error) or (None, None).
-
-        The decoded tier is consulted first; only a decoded-tier miss
-        touches the backend (and the decode it pays fills the tier).
-        """
-        with self.lock:
-            entry = self._decoded.get(fingerprint)
-            if entry is not None:
-                self._decoded.move_to_end(fingerprint)
-                self.decoded_hits += 1
-                return entry
-            if self.backend is None:
-                return None, None
-            payload = self.backend.get(fingerprint)
-            if payload is None:
-                return None, None
-            return self._decode_payload(fingerprint, payload)
-
     def lookup_many(
         self, fingerprints: Sequence[str]
     ) -> Dict[str, Tuple[Optional[CostReport], Optional[str]]]:
@@ -247,41 +225,43 @@ class EvaluationCache:
             if not remaining or self.backend is None:
                 return resolved
             for fingerprint, payload in self.backend.lookup_many(remaining).items():
-                resolved[fingerprint] = self._decode_payload(fingerprint, payload)
+                if self.FAILURE_KEY in payload:
+                    entry = (None, str(payload[self.FAILURE_KEY]))
+                else:
+                    entry = (CostReport.from_dict(payload), None)
+                self._remember(fingerprint, entry)
+                resolved[fingerprint] = entry
             return resolved
 
-    def store_many(self, reports: Mapping[str, CostReport]) -> None:
-        """Bulk report store (one backend ``store_many``)."""
+    def store_many(
+        self,
+        reports: Mapping[str, CostReport],
+        failures: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        """Store reports and failure messages in one backend ``store_many``.
+
+        A failure is kept as a ``{FAILURE_KEY: message}`` payload, so a
+        later probe returns it as ``(None, message)``.  An empty batch
+        makes no backend call.
+        """
+        failures = failures or {}
+        if not reports and not failures:
+            return
         payloads = None
         if self.backend is not None:
             payloads = {
                 fingerprint: report.to_dict()
                 for fingerprint, report in reports.items()
             }
+            for fingerprint, error in failures.items():
+                payloads[fingerprint] = {self.FAILURE_KEY: error}
         with self.lock:
             if payloads is not None:
                 self.backend.store_many(payloads)
             for fingerprint, report in reports.items():
                 self._remember(fingerprint, (report, None))
-
-    def get_report(self, fingerprint: str) -> Optional[CostReport]:
-        return self.lookup(fingerprint)[0]
-
-    def get_error(self, fingerprint: str) -> Optional[str]:
-        """The cached failure message, if this evaluation is known bad."""
-        return self.lookup(fingerprint)[1]
-
-    def store_failure(self, fingerprint: str, error: str) -> None:
-        with self.lock:
-            if self.backend is not None:
-                self.backend.put(fingerprint, {self.FAILURE_KEY: error})
-            self._remember(fingerprint, (None, error))
-
-    def store(self, fingerprint: str, report: CostReport) -> None:
-        with self.lock:
-            if self.backend is not None:
-                self.backend.put(fingerprint, report.to_dict())
-            self._remember(fingerprint, (report, None))
+            for fingerprint, error in failures.items():
+                self._remember(fingerprint, (None, error))
 
     # ------------------------------------------------------------------
     # Counters (explorers bump these under the shared lock)
@@ -693,9 +673,11 @@ class ExplorationError(RuntimeError):
 # ----------------------------------------------------------------------
 # Worker entry point (module-level: must pickle into process pools)
 # ----------------------------------------------------------------------
-def _evaluate_request(
-    request: PmmRequest,
-) -> Tuple[Optional[CostReport], float, Optional[str]]:
+#: One oracle outcome: (report, oracle seconds, error message).
+_Outcome = Tuple[Optional[CostReport], float, Optional[str]]
+
+
+def _evaluate_request(request: PmmRequest) -> _Outcome:
     start = time.perf_counter()
     try:
         report = request.run().report
@@ -721,10 +703,9 @@ class Explorer:
         lazily-created, **persistent** process pool, reused across
         :meth:`evaluate_many` calls and strategy steps; release it with
         :meth:`close` or by using the explorer as a context manager.
-    min_parallel_batch:
-        Miss batches smaller than this run serially even when
-        ``workers > 1`` — tiny sweeps never pay pool spin-up.  Once the
-        pool exists, any batch of two or more misses uses it.
+        A cold pool is spun up only for a batch of at least
+        :attr:`MIN_PARALLEL_BATCH` misses; once it exists, any batch of
+        two or more misses uses it.
     cache:
         Shared :class:`EvaluationCache`, a bare
         :class:`~repro.explore.cache.CacheBackend`, a directory path
@@ -737,10 +718,10 @@ class Explorer:
         and stores are dropped).  A private in-memory cache is created
         when omitted.
     on_error:
-        ``"raise"`` (default) propagates oracle failures; ``"skip"``
-        drops infeasible points from the batch instead, recording them
-        in :attr:`failures` (a sweep axis routinely contains corners
-        the allocator cannot satisfy).
+        ``"raise"`` (default) raises :class:`ExplorationError` for an
+        infeasible point; ``"skip"`` drops infeasible points from the
+        batch instead, recording them in :attr:`failures` (a sweep axis
+        routinely contains corners the allocator cannot satisfy).
     retain_records:
         ``True`` (default) appends every evaluation to :attr:`records`
         and every skipped point to :attr:`failures` — what strategies
@@ -750,15 +731,14 @@ class Explorer:
         grow per-request state without bound.
     """
 
-    #: Default serial-fallback threshold for parallel miss batches.
-    DEFAULT_MIN_PARALLEL_BATCH = 4
+    #: Fewest misses worth spinning up a cold pool for.
+    MIN_PARALLEL_BATCH = 4
 
     def __init__(
         self,
         space: DesignSpace,
         *,
         workers: int = 1,
-        min_parallel_batch: int = DEFAULT_MIN_PARALLEL_BATCH,
         cache: Union[None, str, Path, CacheBackend, EvaluationCache] = None,
         area_weight: float = DEFAULT_AREA_WEIGHT,
         seed: int = 0,
@@ -767,13 +747,10 @@ class Explorer:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if min_parallel_batch < 2:
-            raise ValueError("min_parallel_batch must be >= 2")
         if on_error not in ("raise", "skip"):
             raise ValueError("on_error must be 'raise' or 'skip'")
         self.space = space
         self.workers = workers
-        self.min_parallel_batch = min_parallel_batch
         if isinstance(cache, EvaluationCache):
             self.cache = cache
         elif isinstance(cache, (str, Path)):
@@ -786,8 +763,6 @@ class Explorer:
         self.retain_records = retain_records
         self.records: List[ExplorationRecord] = []
         self.failures: List[Tuple[DesignPoint, str]] = []
-        self._seconds: Dict[str, float] = {}
-        self._errors: Dict[str, str] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         #: Discards whose ``shutdown`` itself raised (the pool was that
@@ -809,7 +784,7 @@ class Explorer:
 
         Safe to call concurrently with an in-flight
         :meth:`evaluate_many` — a batch that loses its pool mid-flight
-        falls back to the serial path and still completes — and safe to
+        runs its misses in-process and still completes — and safe to
         call from several threads at once (each pool is shut down
         exactly once).  The explorer stays usable afterwards: the next
         parallel batch simply spins up a fresh pool.
@@ -999,33 +974,35 @@ class Explorer:
         :class:`~repro.dtse.pipeline.PmmRequest` is built only for the
         points that actually miss the cache — a warm sweep constructs
         no request objects at all.
+
+        With ``on_error="raise"`` an infeasible point raises
+        :class:`ExplorationError` whatever ``workers`` and the batch
+        size are.  A failure already in the cache raises before any
+        oracle work; otherwise the first failing miss in point order
+        raises once the successes before it are stored, and no later
+        miss is consumed.
         """
         if not points:
             return []
         fingerprints = self.fingerprint_points(points)
-        # Reports are pinned batch-locally as soon as they are resolved:
-        # a bounded backend may evict any entry between the cache probe
-        # and record assembly, and correctness must not depend on
-        # retention.
-        known: Dict[str, CostReport] = {}
-        fresh: Dict[str, PmmRequest] = {}
         pending: Dict[str, DesignPoint] = {}
         for fingerprint, point in zip(fingerprints, points):
             pending.setdefault(fingerprint, point)
-        probed = self.cache.lookup_many(tuple(pending))
+        # Outcomes are pinned batch-locally as soon as they are
+        # resolved: a bounded cache may evict any entry between the
+        # probe and record assembly, and correctness must not depend on
+        # retention.
+        known = self.cache.lookup_many(tuple(pending))
+        fresh: Dict[str, PmmRequest] = {}
         for fingerprint, point in pending.items():
-            report, error = probed.get(fingerprint, (None, None))
+            report, error = known.get(fingerprint, (None, None))
             if report is not None:
-                known[fingerprint] = report
                 # Evaluation-level hits count backend resolutions, once
                 # per unique fingerprint — in-batch duplicates and
                 # in-batch computations never touch the backend, so
                 # these counters reconcile with the backend's own.
                 self.cache.count_hits()
-                continue
-            if error is None:
-                error = self._errors.get(fingerprint)
-            if error is None:
+            elif error is None:
                 # The only point on the batch path that materializes a
                 # request: the oracle needs one, a cache hit does not.
                 fresh[fingerprint] = self.request_for(point)
@@ -1036,16 +1013,14 @@ class Explorer:
                 raise ExplorationError(
                     f"evaluation of {point.display_label!r} failed: {error}"
                 )
-        computed = self._evaluate_misses(fresh)
-        known.update(computed)
+        seconds = self._evaluate_misses(fresh, known) if fresh else {}
         records = []
-        charged: set = set()  # computed fingerprints already attributed
         program_names: Dict[str, str] = {}  # variant -> program.name
         for point, fingerprint in zip(points, fingerprints):
-            report = known.get(fingerprint)
+            report, error = known[fingerprint]
             if report is None:  # failed and on_error == "skip"
                 if self.retain_records:
-                    failure = (point, self._known_error(fingerprint) or "unknown")
+                    failure = (point, error)
                     if failure not in self.failures:
                         self.failures.append(failure)
                 continue
@@ -1053,12 +1028,9 @@ class Explorer:
             if report.label != label:
                 report = dataclasses.replace(report, label=label)
             # Only the first occurrence of a freshly computed
-            # fingerprint is the miss; duplicates resolved from the
-            # batch-local pin are hits and never re-attribute the
-            # oracle seconds.
-            miss = fingerprint in computed and fingerprint not in charged
-            if miss:
-                charged.add(fingerprint)
+            # fingerprint is the miss and carries the oracle seconds;
+            # duplicates resolved from the batch-local pin are hits.
+            elapsed = seconds.pop(fingerprint, None)
             program_name = program_names.get(point.variant)
             if program_name is None:
                 program_name = program_names[point.variant] = self.space.program(
@@ -1068,8 +1040,8 @@ class Explorer:
                 point=point,
                 report=report,
                 fingerprint=fingerprint,
-                seconds=self._seconds.get(fingerprint, 0.0) if miss else 0.0,
-                cache_hit=not miss,
+                seconds=0.0 if elapsed is None else elapsed,
+                cache_hit=elapsed is None,
                 step=step,
                 program_name=program_name,
             )
@@ -1078,38 +1050,39 @@ class Explorer:
             self.records.extend(records)
         return records
 
-    def _use_pool(self, batch_size: int) -> bool:
-        if self.workers <= 1 or batch_size < 2:
-            return False
+    def _evaluate_misses(
+        self,
+        fresh: Dict[str, PmmRequest],
+        known: Dict[str, Tuple[Optional[CostReport], Optional[str]]],
+    ) -> Dict[str, float]:
+        """Run the oracle for ``fresh``, pin the outcomes in ``known``.
+
+        Outcomes come from the pool's ``map`` when the pool pays off,
+        else from the builtin ``map`` (also when the pool is lost).  One
+        loop consumes them in point order, counting each as a miss; with
+        ``on_error="raise"`` it raises at the first failure and consumes
+        nothing after it.  What it consumed is stored in one
+        :meth:`EvaluationCache.store_many`, also on a raise or an
+        interrupt.  Returns the oracle seconds per computed report.
+        """
+        requests = list(fresh.values())
+        # The builtin map is lazy: each oracle call runs only when the
+        # loop below consumes its outcome.
+        outcomes: Iterable[_Outcome] = map(_evaluate_request, requests)
         # A warm pool costs nothing to reuse; a cold one is only worth
         # spinning up for batches that amortize the fork cost.
-        return self._pool is not None or batch_size >= self.min_parallel_batch
-
-    def _evaluate_misses(
-        self, fresh: Dict[str, PmmRequest]
-    ) -> Dict[str, CostReport]:
-        """Run the oracle for every fingerprint in ``fresh``.
-
-        Returns the computed reports so the caller does not depend on
-        the cache retaining them (a bounded backend may evict).
-        """
-        computed: Dict[str, CostReport] = {}
-        if not fresh:
-            return computed
-        self.cache.count_misses(len(fresh))
-        items = list(fresh.items())
-        if self._use_pool(len(items)):
+        if (
+            self.workers > 1
+            and len(requests) > 1
+            and (self._pool is not None or len(requests) >= self.MIN_PARALLEL_BATCH)
+        ):
             pool = self._ensure_pool()
             # Chunk so each worker gets a handful of round trips, not
             # one IPC exchange per point.
-            chunksize = max(1, math.ceil(len(items) / (self.workers * 4)))
+            chunksize = max(1, math.ceil(len(requests) / (self.workers * 4)))
             try:
                 outcomes = list(
-                    pool.map(
-                        _evaluate_request,
-                        [request for _, request in items],
-                        chunksize=chunksize,
-                    )
+                    pool.map(_evaluate_request, requests, chunksize=chunksize)
                 )
             except (BrokenProcessPool, RuntimeError) as exc:
                 # BrokenProcessPool: a worker died under the batch.
@@ -1126,70 +1099,32 @@ class Explorer:
                     raise
                 # The batch must still complete: drop the dead pool
                 # (never a replacement a concurrent recovering caller
-                # already spun up) and rerun this batch serially — the
+                # already spun up) and run the batch in-process — the
                 # oracle is deterministic and stores are idempotent, so
                 # recovery is invisible to the caller beyond the lost
                 # parallelism.
                 self._discard_pool(pool)
-                self._evaluate_serially(items, computed)
-                return computed
-            failures: List[Tuple[str, PmmRequest, str]] = []
-            stored: Dict[str, CostReport] = {}
-            for (fingerprint, request), (report, seconds, error) in zip(
-                items, outcomes
+        reports: Dict[str, CostReport] = {}
+        failures: Dict[str, str] = {}
+        seconds: Dict[str, float] = {}
+        try:
+            for (fingerprint, request), (report, elapsed, error) in zip(
+                fresh.items(), outcomes
             ):
-                if error is not None:
-                    failures.append((fingerprint, request, error))
-                    continue
-                stored[fingerprint] = report
-                computed[fingerprint] = report
-                self._seconds[fingerprint] = seconds
-            # Successes persist before any failure can raise, and in
-            # one bulk store.
-            if stored:
-                self.cache.store_many(stored)
-            for fingerprint, request, error in failures:
-                self._record_failure(fingerprint, request, error)
-        else:
-            self._evaluate_serially(items, computed)
-        return computed
-
-    def _evaluate_serially(
-        self,
-        items: Sequence[Tuple[str, PmmRequest]],
-        computed: Dict[str, CostReport],
-    ) -> None:
-        """The in-process miss path (also the pool-loss recovery path)."""
-        for fingerprint, request in items:
-            start = time.perf_counter()
-            try:
-                report = request.run().report
-            except Exception as exc:
-                if self.on_error == "raise":
-                    raise
-                self._record_failure(
-                    fingerprint, request, f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            seconds = time.perf_counter() - start
-            self.cache.store(fingerprint, report)
-            computed[fingerprint] = report
-            self._seconds[fingerprint] = seconds
-
-    def _known_error(self, fingerprint: str) -> Optional[str]:
-        """This explorer's (or the shared cache's) failure memo."""
-        error = self._errors.get(fingerprint)
-        if error is not None:
-            return error
-        return self.cache.get_error(fingerprint)
-
-    def _record_failure(
-        self, fingerprint: str, request: PmmRequest, error: str
-    ) -> None:
-        if self.on_error == "raise":
-            raise ExplorationError(f"evaluation of {request.label!r} failed: {error}")
-        self._errors[fingerprint] = error
-        self.cache.store_failure(fingerprint, error)
+                self.cache.count_misses()
+                known[fingerprint] = (report, error)
+                if error is None:
+                    reports[fingerprint] = report
+                    seconds[fingerprint] = elapsed
+                elif self.on_error == "raise":
+                    raise ExplorationError(
+                        f"evaluation of {request.label!r} failed: {error}"
+                    )
+                else:
+                    failures[fingerprint] = error
+        finally:
+            self.cache.store_many(reports, failures)
+        return seconds
 
     # ------------------------------------------------------------------
     def explore(

@@ -386,11 +386,18 @@ class SweepService:
         strands waiters: the futures claimed here are always resolved
         or failed, whatever happens to the request that spawned it.
         """
+
+        def evaluate() -> Tuple[List[ExplorationRecord], Dict[str, Outcome]]:
+            records = explorer.evaluate_many(list(points), "service")
+            evaluated = {record.fingerprint for record in records}
+            # Points the explorer skipped are negatively cached: one
+            # probe reads their errors, on this worker thread.
+            skipped = [fp for fp in fingerprints if fp not in evaluated]
+            return records, self.cache.lookup_many(skipped) if skipped else {}
+
         try:
             async with self._batch_sem:
-                records = await asyncio.to_thread(
-                    explorer.evaluate_many, list(points), "service"
-                )
+                records, failed = await asyncio.to_thread(evaluate)
         except BaseException as exc:
             for fingerprint in fingerprints:
                 self._flight.fail(fingerprint, exc)
@@ -402,10 +409,8 @@ class SweepService:
             if record is not None:
                 outcome: Outcome = (record.report, None)
             else:
-                # Skipped by the explorer: the failure is negatively
-                # cached, and the decoded tier serves it loop-cheap.
-                error = self.cache.get_error(fingerprint) or "evaluation failed"
-                outcome = (None, error)
+                error = failed.get(fingerprint, (None, None))[1]
+                outcome = (None, error or "evaluation failed")
             self._flight.resolve(fingerprint, outcome)
             outcomes[fingerprint] = (outcome, record)
         return outcomes

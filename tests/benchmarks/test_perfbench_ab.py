@@ -90,6 +90,27 @@ def test_one_slow_workload_is_the_one_named():
     assert failures[0].startswith("warm_resweep: points_per_s")
 
 
+def test_a_failing_metric_lists_every_seed_of_both_sides():
+    runs = results()
+    values = {
+        "parent": {1: 10.3, 2: 9.7, 3: 10.1},
+        "change": {1: 13.6, 2: 15.2, 3: 12.9},
+    }
+    for side, by_seed in values.items():
+        runs[side]["serve_mixed"] = {
+            seed: result(op_p50_ms=value / BASE["op_p50_ms"])
+            for seed, value in by_seed.items()
+        }
+    _, failures = ab.compare(SPEC, runs)
+    assert len(failures) == 1
+    assert failures[0].startswith("serve_mixed: op_p50_ms median 13.6")
+    per_seed = (
+        "(parent by seed 1: 10.3, 2: 9.7, 3: 10.1; "
+        "change by seed 1: 13.6, 2: 15.2, 3: 12.9)"
+    )
+    assert per_seed in failures[0]
+
+
 def test_the_median_absorbs_one_outlier_run():
     runs = results()
     runs["change"]["cold_sweep"][1] = result(points_per_s=0.5)

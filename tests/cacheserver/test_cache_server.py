@@ -380,11 +380,11 @@ class TestBoundedRemoteMemo:
         # Repeat probes of a retained entry never cross the wire.
         before = cache.backend.stats.hits + cache.backend.stats.misses
         for _ in range(5):
-            assert cache.lookup("fp3")[0] is reports["fp3"]
+            assert cache.lookup_many(["fp3"])["fp3"][0] is reports["fp3"]
         assert cache.backend.stats.hits + cache.backend.stats.misses == before
         # An evicted entry is fetched back from the server and decoded.
         hits = cache.backend.stats.hits
-        assert cache.lookup("fp0")[0] == reports["fp0"]
+        assert cache.lookup_many(["fp0"])["fp0"][0] == reports["fp0"]
         assert cache.backend.stats.hits == hits + 1
         assert cache.decoded_entries == 2
         cache.close_backend()

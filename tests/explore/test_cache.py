@@ -364,7 +364,7 @@ def test_disk_cache_lookup_many_tolerates_vanished_file(tmp_path):
 def test_evaluation_cache_lookup_many_decodes_failures(tmp_path):
     shared = EvaluationCache(path=tmp_path)
     shared.backend.put("good", {"label": "x", "memories": []})
-    shared.store_failure("bad", "infeasible corner")
+    shared.store_many({}, {"bad": "infeasible corner"})
     resolved = shared.lookup_many(["good", "bad", "absent"])
     report, error = resolved["good"]
     assert report is not None and error is None
@@ -407,11 +407,11 @@ def test_negative_entries_round_trip_through_compact_format(tmp_path):
     """__infeasible__ markers survive the compact codec on disk, and
     stats account them exactly like positive entries."""
     shared = EvaluationCache(path=tmp_path)
-    shared.store_failure("badf", "infeasible corner")
+    shared.store_many({}, {"badf": "infeasible corner"})
     data = (tmp_path / "ba" / f"badf{COMPACT_SUFFIX}").read_bytes()
     assert data.startswith(COMPACT_MAGIC)
     fresh = EvaluationCache(path=tmp_path)
-    report, error = fresh.lookup("badf")
+    report, error = fresh.lookup_many(["badf"])["badf"]
     assert report is None and error == "infeasible corner"
     assert fresh.backend.stats.hits == 1
     resolved = fresh.lookup_many(["badf", "absent"])
@@ -428,10 +428,10 @@ def test_negative_entries_round_trip_through_compact_format(tmp_path):
 def test_decoded_tier_absorbs_repeat_probes():
     shared = EvaluationCache(backend=MemoryCache())
     shared.backend.put("good", {"label": "x", "memories": []})
-    first, _ = shared.lookup("good")
+    first, _ = shared.lookup_many(["good"])["good"]
     assert shared.decoded_hits == 0
     assert shared.backend.stats.hits == 1
-    second, _ = shared.lookup("good")
+    second, _ = shared.lookup_many(["good"])["good"]
     assert second is first  # the decoded object itself, no re-decode
     assert shared.decoded_hits == 1
     assert shared.backend.stats.hits == 1  # backend untouched
@@ -446,8 +446,8 @@ def test_decoded_tier_filled_by_stores():
 
     shared = EvaluationCache(backend=MemoryCache())
     report = CostReport(label="stored")
-    shared.store("fp", report)
-    looked, error = shared.lookup("fp")
+    shared.store_many({"fp": report})
+    looked, error = shared.lookup_many(["fp"])["fp"]
     assert looked is report and error is None
     assert shared.decoded_hits == 1
     assert shared.backend.stats.hits == 0  # never probed
@@ -465,10 +465,10 @@ def test_decoded_tier_shares_backend_bound(tmp_path):
 
     shared = EvaluationCache(tmp_path, max_entries=2)
     for index in range(4):
-        shared.store(f"fp{index}", CostReport(label=f"r{index}"))
+        shared.store_many({f"fp{index}": CostReport(label=f"r{index}")})
     assert shared.decoded_entries == 2
     # The survivors are the most recently stored, same as the backend.
-    assert shared.lookup("fp3")[0] is not None
+    assert shared.lookup_many(["fp3"])["fp3"][0] is not None
     assert shared.decoded_hits == 1
     assert len(shared.backend) == 2
 
@@ -476,13 +476,13 @@ def test_decoded_tier_shares_backend_bound(tmp_path):
 def test_decoded_tier_cleared_with_cache():
     shared = EvaluationCache(backend=MemoryCache())
     shared.backend.put("good", {"label": "x", "memories": []})
-    shared.lookup("good")
-    shared.lookup("good")
+    shared.lookup_many(["good"])
+    shared.lookup_many(["good"])
     assert shared.decoded_hits == 1
     shared.clear()
     assert shared.decoded_entries == 0
     assert shared.decoded_hits == 0
-    assert shared.lookup("good") == (None, None)
+    assert shared.lookup_many(["good"]) == {}
 
 
 def test_stats_dict_reports_decoded_tier():
@@ -494,8 +494,8 @@ def test_stats_dict_reports_decoded_tier():
 
     shared = EvaluationCache(backend=UncountableCache())
     shared.backend.put("good", {"label": "x", "memories": []})
-    shared.lookup("good")
-    shared.lookup("good")
+    shared.lookup_many(["good"])
+    shared.lookup_many(["good"])
     stats = shared.stats_dict()
     assert stats["decoded_hits"] == 1
     assert stats["decoded_entries"] == 1
@@ -608,10 +608,10 @@ def test_memory_only_cache_holds_one_entry_per_fingerprint():
     shared = EvaluationCache()
     assert shared.backend is None
     report = CostReport(label="r")
-    shared.store("fp1", report)
-    shared.store("fp1", report)  # a re-store is the same entry
+    shared.store_many({"fp1": report})
+    shared.store_many({"fp1": report})  # a re-store is the same entry
     shared.store_many({"fp2": report, "fp3": report})
-    shared.store_failure("bad", "infeasible corner")
+    shared.store_many({}, {"bad": "infeasible corner"})
     assert len(shared) == shared.decoded_entries == 4
     assert shared.lookup_many(["fp1", "fp2", "bad", "absent"]) == {
         "fp1": (report, None),

@@ -51,8 +51,9 @@ def test_threaded_lookup_store_hammer(cavity_reports):
                 fp0, report0 = cavity_reports[0]
                 cache.store_many({f"shared:{round_no}": report0})
                 cache.lookup_many((f"shared:{round_no}", "absent:key"))
-                cache.store_failure(f"bad:{slot}:{round_no}", "infeasible")
-                assert cache.get_error(f"bad:{slot}:{round_no}") == "infeasible"
+                bad = f"bad:{slot}:{round_no}"
+                cache.store_many({}, {bad: "infeasible"})
+                assert cache.lookup_many((bad,)) == {bad: (None, "infeasible")}
                 cache.count_hits()
                 cache.count_misses(2)
                 cache.stats_dict()
@@ -113,10 +114,8 @@ def test_shared_cache_between_threaded_explorers():
 # Pool lifecycle under concurrency
 # ----------------------------------------------------------------------
 def test_close_during_inflight_evaluate_many():
-    """A concurrent close() must not lose the batch (serial fallback)."""
-    explorer = Explorer.for_app(
-        "cavity", workers=2, min_parallel_batch=2, on_error="skip"
-    )
+    """A concurrent close() must not lose the batch (in-process fallback)."""
+    explorer = Explorer.for_app("cavity", workers=2, on_error="skip")
     results = []
     errors = []
     started = threading.Event()
@@ -188,13 +187,11 @@ class _OracleBugPool:
 def test_worker_runtimeerror_propagates_and_keeps_pool():
     """A RuntimeError from the worker function is not a dead pool.
 
-    Only shutdown-race RuntimeErrors trigger the serial recovery
+    Only shutdown-race RuntimeErrors trigger the in-process recovery
     path; anything else must propagate instead of silently discarding
     a healthy pool (and losing parallelism for every later batch).
     """
-    explorer = Explorer.for_app(
-        "cavity", workers=2, min_parallel_batch=2, on_error="skip"
-    )
+    explorer = Explorer.for_app("cavity", workers=2, on_error="skip")
     pool = _OracleBugPool()
     explorer._pool = pool
     with pytest.raises(RuntimeError, match="oracle exploded"):
@@ -205,10 +202,8 @@ def test_worker_runtimeerror_propagates_and_keeps_pool():
 
 
 def test_broken_pool_recovery_under_concurrent_callers():
-    """Concurrent batches on a dead pool all recover via the serial path."""
-    explorer = Explorer.for_app(
-        "cavity", workers=2, min_parallel_batch=2, on_error="skip"
-    )
+    """Concurrent batches on a dead pool all recover in-process."""
+    explorer = Explorer.for_app("cavity", workers=2, on_error="skip")
     dead_pool = _ExplodingPool()
     explorer._pool = dead_pool
     points = explorer.space.points()
@@ -250,9 +245,21 @@ def test_broken_pool_recovery_under_concurrent_callers():
 
 def test_retain_records_off_keeps_explorer_stateless():
     explorer = Explorer.for_app("cavity", on_error="skip", retain_records=False)
+
+    def container_sizes():
+        return {
+            name: len(value)
+            for name, value in vars(explorer).items()
+            if isinstance(value, (dict, list, set, tuple))
+        }
+
+    before = container_sizes()
     records = explorer.evaluate_many(explorer.space.points(), "svc")
     assert len(records) == 14
     assert explorer.records == []
     assert explorer.failures == []
+    # No per-fingerprint memo on the explorer: seconds and failure
+    # messages are batch-local, known failures live in the cache.
+    assert container_sizes() == before
     # The cache still accumulated everything.
     assert explorer.cache.misses == 20

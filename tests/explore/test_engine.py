@@ -10,12 +10,15 @@ from repro.api import (
     DesignSpace,
     EvaluationCache,
     ExhaustiveSweep,
+    ExplorationError,
     ExplorationRecord,
     ExplorationResult,
     Explorer,
     GreedyStep,
     GreedyStepwise,
+    MemoryCache,
     ParetoRefine,
+    PmmRequest,
     ProgramBuilder,
     dominates,
     fingerprint_request,
@@ -130,7 +133,7 @@ def test_parallel_rerun_hits_cache(serial_result):
 def test_persistent_pool_reused_across_batches_and_deterministic(serial_result):
     """One pool serves every batch, and results stay bit-identical."""
     result, _ = serial_result
-    explorer = Explorer(_fir_space(), workers=2, min_parallel_batch=2)
+    explorer = Explorer(_fir_space(), workers=2)
     points = explorer.space.points()
     first_half = explorer.evaluate_many(points[:6])
     pool = explorer._pool
@@ -147,8 +150,9 @@ def test_persistent_pool_reused_across_batches_and_deterministic(serial_result):
 
 
 def test_small_batches_fall_back_to_serial():
-    """Below min_parallel_batch a cold explorer never pays fork cost."""
-    explorer = Explorer(_fir_space(), workers=4, min_parallel_batch=4)
+    """Below MIN_PARALLEL_BATCH a cold explorer never pays fork cost."""
+    assert Explorer.MIN_PARALLEL_BATCH == 4
+    explorer = Explorer(_fir_space(), workers=4)
     points = explorer.space.points()
     records = explorer.evaluate_many(points[:2])
     assert len(records) == 2
@@ -164,18 +168,13 @@ def test_small_batches_fall_back_to_serial():
 
 
 def test_explorer_context_manager_closes_pool():
-    with Explorer(_fir_space(), workers=2, min_parallel_batch=2) as explorer:
+    with Explorer(_fir_space(), workers=2) as explorer:
         explorer.evaluate_many(explorer.space.points()[:4])
         assert explorer._pool is not None
     assert explorer._pool is None
     # close() is idempotent and the explorer stays usable afterwards.
     explorer.close()
     assert explorer.evaluate(explorer.space.points()[0]).cache_hit
-
-
-def test_explorer_rejects_bad_min_parallel_batch():
-    with pytest.raises(ValueError):
-        Explorer(_fir_space(), min_parallel_batch=1)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +285,7 @@ def test_infeasible_points_raise_by_default():
     explorer = Explorer(space)
     # The FIR program has three basic groups; asking for ten on-chip
     # memories is infeasible for the allocator.
-    with pytest.raises(Exception):
+    with pytest.raises(ExplorationError, match="AssignmentError"):
         explorer.evaluate(space.point("taps8", n_onchip=10))
 
 
@@ -306,11 +305,12 @@ def test_infeasible_points_skippable():
     assert len(explorer.failures) == 1
 
 
-def test_infeasible_points_skippable_parallel():
+def test_infeasible_points_skippable_parallel(monkeypatch):
     space = _fir_space()
-    # min_parallel_batch=2 forces the two-point batch through the pool
-    # (the default threshold would fall back to the serial path).
-    explorer = Explorer(space, workers=2, min_parallel_batch=2, on_error="skip")
+    # A threshold of 2 sends the two-point batch through a cold pool
+    # (the default threshold would run it in-process).
+    monkeypatch.setattr(Explorer, "MIN_PARALLEL_BATCH", 2)
+    explorer = Explorer(space, workers=2, on_error="skip")
     points = [space.point("taps8"), space.point("taps8", n_onchip=10)]
     records = explorer.evaluate_many(points)
     assert explorer._pool is not None  # the pool really was exercised
@@ -318,6 +318,90 @@ def test_infeasible_points_skippable_parallel():
     assert len(explorer.failures) == 1
     assert "10" in explorer.failures[0][1]
     explorer.close()
+
+
+def _counted_oracle(monkeypatch, interrupt_at=None):
+    """Count in-process oracle calls; optionally interrupt the n-th."""
+    run = PmmRequest.run
+    calls = []
+
+    def counted(request):
+        calls.append(request.label)
+        if len(calls) == interrupt_at:
+            raise KeyboardInterrupt
+        return run(request)
+
+    monkeypatch.setattr(PmmRequest, "run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raise_mode_fails_at_the_first_infeasible_point(workers, monkeypatch):
+    """One failure contract for every ``workers`` and batch size.
+
+    The first failing point in point order raises ExplorationError; the
+    successes before it are stored and nothing after it is consumed
+    (the in-process loop never runs it; the pool's outcome is dropped).
+    """
+    space = _fir_space()
+    bad = space.point("taps8", n_onchip=10)
+    good = [space.point("taps8"), space.point("taps4"), space.point("taps4", 0.9)]
+    batch = [good[0], good[1], bad, good[2]]
+    calls = _counted_oracle(monkeypatch)
+    with Explorer(space, workers=workers) as explorer:
+        with pytest.raises(ExplorationError, match="AssignmentError"):
+            explorer.evaluate_many(batch)
+        if workers > 1:
+            assert explorer._pool is not None  # the four misses were pooled
+        else:
+            assert len(calls) == 3
+        fingerprints = explorer.fingerprint_points(good)
+        assert set(explorer.cache.lookup_many(fingerprints)) == set(fingerprints[:2])
+        assert explorer.cache.misses == 3
+        # A one-point batch fails the same way, warm pool or not.
+        with pytest.raises(ExplorationError, match="AssignmentError"):
+            explorer.evaluate_many([bad])
+        assert explorer.cache.misses == 4
+
+
+def test_serial_batch_is_stored_once():
+    """Reports and skipped failures reach the backend in one store."""
+
+    class CountingCache(MemoryCache):
+        def __init__(self):
+            super().__init__()
+            self.puts = 0
+            self.batches = []
+
+        def put(self, key, payload):
+            self.puts += 1
+            super().put(key, payload)
+
+        def store_many(self, payloads):
+            self.batches.append(set(payloads))
+            for key, payload in payloads.items():
+                MemoryCache.put(self, key, payload)  # not counted as a put
+
+    space = _fir_space()
+    backend = CountingCache()
+    explorer = Explorer(space, cache=backend, on_error="skip")
+    batch = space.points()[:3] + [space.point("taps8", n_onchip=10)]
+    records = explorer.evaluate_many(batch)
+    assert len(records) == 3 and len(explorer.failures) == 1
+    assert backend.puts == 0
+    assert backend.batches == [set(explorer.fingerprint_points(batch))]
+
+
+def test_interrupted_batch_keeps_what_it_computed(monkeypatch):
+    """An interrupt at the third oracle call still stores the first two."""
+    backend = MemoryCache()
+    explorer = Explorer(_fir_space(), cache=backend)
+    points = explorer.space.points()[:4]
+    _counted_oracle(monkeypatch, interrupt_at=3)
+    with pytest.raises(KeyboardInterrupt):
+        explorer.evaluate_many(points)
+    assert set(backend.keys()) == set(explorer.fingerprint_points(points[:2]))
+    assert explorer.cache.misses == 2
 
 
 def test_pareto_refine_with_skipped_points_keeps_pairing():
