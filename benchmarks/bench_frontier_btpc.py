@@ -46,7 +46,7 @@ def test_frontier_covers_the_btpc_front_at_a_fifth_of_the_calls(benchmark):
 
     def search():
         with Explorer(space, on_error="skip") as explorer:
-            return explorer.explore(LinearFrontier(), budget=budget)
+            return explorer.run(LinearFrontier(), budget=budget)
 
     frontier = benchmark.pedantic(search, rounds=1, iterations=1)
     coverage = front_coverage(full_front, [r.report for r in frontier.records])

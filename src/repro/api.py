@@ -28,9 +28,11 @@ The pieces:
   :class:`ParetoRefine` or :class:`LinearFrontier` (adaptive
   weighted-sum front bracketing) — through an :class:`Explorer` that
   memoizes every evaluation (content-addressed) and fans batches out
-  over worker processes.  ``explorer.explore(strategy,
+  over worker processes.  ``explorer.run(strategy,
   budget=SearchBudget(max_oracle_calls=50))`` runs the budgeted
-  propose/observe driver loop with per-round progress snapshots.
+  propose/observe loop and returns the per-round progress snapshots
+  in ``result.rounds``; for live progress, step a
+  :class:`SearchDriver` by hand (``next_batch``/``record``).
 * **Decide** with :func:`pareto_front` / :func:`knee_point`, and
   serialize everything (:class:`ExplorationResult` and
   :class:`CostReport` round-trip through JSON).

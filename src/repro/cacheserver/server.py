@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from ..costs.report import FrameError, frame_length, pack_frame
 from ..explore.cache import CacheBackend, DiskCache, MemoryCache
+from ..serverthread import ServerThread
 from . import protocol
 
 __all__ = ["CacheServerConfig", "CacheServer", "CacheServerThread", "serve"]
@@ -315,7 +316,7 @@ async def serve(
 # ----------------------------------------------------------------------
 # Thread facade (tests, the perf harness, embedding)
 # ----------------------------------------------------------------------
-class CacheServerThread:
+class CacheServerThread(ServerThread):
     """A cache server on a background thread with its own event loop.
 
     The synchronous face of :func:`serve`::
@@ -335,84 +336,9 @@ class CacheServerThread:
         backend: Optional[CacheBackend] = None,
     ) -> None:
         self.core = CacheServer(config, backend=backend)
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._state: Optional[_ServerState] = None
-        self._address: Optional[Tuple[str, int]] = None
-        self._drained: Optional[bool] = None
-        self._startup_error: Optional[BaseException] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._address is None:
-            raise RuntimeError("cache server is not running")
-        return self._address
+        super().__init__(self.core, serve, name="cache server")
 
     @property
     def url(self) -> str:
         host, port = self.address
         return f"remote://{host}:{port}"
-
-    @property
-    def drained(self) -> Optional[bool]:
-        """True/False after :meth:`stop`; None while running."""
-        return self._drained
-
-    # ------------------------------------------------------------------
-    def start(self, timeout: float = 30.0) -> "CacheServerThread":
-        if self._thread is not None:
-            raise RuntimeError("cache server already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cacheserver", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("cache server thread did not become ready")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "cache server failed to start"
-            ) from self._startup_error
-        return self
-
-    def _run(self) -> None:
-        def on_ready(bound: Tuple[str, int], state: _ServerState) -> None:
-            self._address = bound
-            self._state = state
-            self._loop = asyncio.get_running_loop()
-            self._ready.set()
-
-        try:
-            self._drained = asyncio.run(
-                serve(
-                    self.core,
-                    install_signal_handlers=False,
-                    ready=on_ready,
-                    log=lambda *args, **kwargs: None,
-                )
-            )
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    def stop(self, timeout: float = 30.0) -> Optional[bool]:
-        """Drain and stop; returns the drain outcome (None if never ran)."""
-        if self._thread is None:
-            return None
-        if self._loop is not None and self._state is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._state.stop_event.set)
-            except RuntimeError:
-                pass  # loop already closed
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("cache server thread did not stop in time")
-        self._thread = None
-        return self._drained
-
-    def __enter__(self) -> "CacheServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()

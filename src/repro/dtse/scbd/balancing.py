@@ -31,6 +31,13 @@ PortCapFn = Callable[[str], int]
 #: distributor can see the gain from relaxing the offending body.
 PORT_VIOLATION_PENALTY = 1e9
 
+#: Most local-search sweeps one refinement in :func:`balance` makes; a
+#: sweep that moves nothing ends the search earlier.
+IMPROVEMENT_PASSES = 5
+
+#: Offender moves :func:`_repair` tries before it gives up.
+MAX_REPAIR_MOVES = 400
+
 
 def _default_weight(group_a: str, group_b: str) -> float:
     return 1.0
@@ -210,7 +217,6 @@ def _improve(
     assignment: Dict[str, int],
     weight_fn: WeightFn,
     cap_fn: PortCapFn,
-    improvement_passes: int,
 ) -> Dict[str, int]:
     """Occurrence moves plus whole-chain re-placement to a fixpoint."""
     by_cycle: Dict[int, List[Occurrence]] = {}
@@ -220,7 +226,7 @@ def _improve(
     # Sinks first: tail occurrences move right into the slack before
     # their predecessors try to, unrolling ASAP-packed jams.
     order = list(reversed(graph.topological_order()))
-    for _ in range(improvement_passes):
+    for _ in range(IMPROVEMENT_PASSES):
         improved = False
         for occurrence in order:
             label = occurrence.label
@@ -276,7 +282,6 @@ def _repair(
     assignment: Dict[str, int],
     weight_fn: WeightFn,
     cap_fn: PortCapFn,
-    max_moves: int = 400,
 ) -> None:
     """Force port-cap violations out by moving offenders, pushing their
     successors right when the dependence window is closed.
@@ -328,7 +333,7 @@ def _repair(
         place(occurrence, target_cycle)
         return True
 
-    for _ in range(max_moves):
+    for _ in range(MAX_REPAIR_MOVES):
         offender = _find_violation(by_cycle, cap_fn)
         if offender is None:
             return
@@ -360,7 +365,6 @@ def balance(
     budget: int,
     weight_fn: WeightFn = _default_weight,
     cap_fn: PortCapFn = _default_cap,
-    improvement_passes: int = 5,
 ) -> BodySchedule:
     """Schedule one body into ``budget`` cycles minimizing conflict cost.
 
@@ -375,13 +379,9 @@ def balance(
         _seed_asap(graph),
         _seed_alap(graph, budget),
     ):
-        refined = _improve(
-            graph, budget, dict(seed), weight_fn, cap_fn, improvement_passes
-        )
+        refined = _improve(graph, budget, dict(seed), weight_fn, cap_fn)
         _repair(graph, budget, refined, weight_fn, cap_fn)
-        refined = _improve(
-            graph, budget, refined, weight_fn, cap_fn, improvement_passes
-        )
+        refined = _improve(graph, budget, refined, weight_fn, cap_fn)
         schedule = BodySchedule(graph=graph, budget=budget, assignment=refined)
         cost = schedule.cost(weight_fn, cap_fn)
         if cost < best_cost:

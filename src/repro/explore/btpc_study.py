@@ -172,7 +172,7 @@ class BtpcStudy:
         if name not in self._outcomes:
             step = next(s for s in self.greedy_steps() if s.name == name)
             walk = GreedyStepwise([step], session=self.session)
-            walk.run(self.explorer)
+            self.explorer.run(walk)
             self._outcomes[name] = walk.outcomes[0]
         return self._outcomes[name]
 

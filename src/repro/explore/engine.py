@@ -26,9 +26,11 @@ counts them, fails on the first error in ``on_error="raise"`` mode and
 stores the batch in one :meth:`EvaluationCache.store_many`.  A batch's
 result therefore depends neither on ``workers`` nor on batch size.
 
-Search strategies (:mod:`repro.explore.strategies`) sit on top and only
-ever talk to the explorer, so caching and parallelism apply to every
-strategy uniformly.
+Search strategies (:mod:`repro.explore.strategies`) sit on top: a
+:class:`SearchDriver` steps one through the budgeted propose/observe
+loop, and :meth:`Explorer.run` runs that loop over
+:meth:`Explorer.evaluate_many`, so caching and parallelism apply to
+every strategy uniformly.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -560,8 +561,8 @@ class ExplorationResult:
     #: :class:`RoundSnapshot` for the exact charging rule).
     oracle_calls: int = 0
     #: How the run ended: ``"completed"`` (the strategy converged),
-    #: ``"budget_exhausted"``, ``"cancelled"``, or ``""`` for results
-    #: that never went through the driver.
+    #: ``"budget_exhausted"``, or ``""`` for results that never went
+    #: through the driver (or whose driver was not stepped to its end).
     stopped: str = ""
     #: The spent budget axis (``"max_points"``, ...) when
     #: ``stopped == "budget_exhausted"``; empty otherwise.
@@ -1127,40 +1128,18 @@ class Explorer:
         return seconds
 
     # ------------------------------------------------------------------
-    def explore(
-        self,
-        strategy: "SearchStrategy",  # noqa: F821
-        *,
-        budget: Optional[SearchBudget] = None,
-        on_round: Optional[Callable[[RoundSnapshot], None]] = None,
-        evaluate: Optional[
-            Callable[[Sequence[DesignPoint], str], List[ExplorationRecord]]
-        ] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> ExplorationResult:
-        """Drive a strategy through the budgeted propose/observe loop.
-
-        The canonical entry point since the driver refactor: every
-        keyword forwards to :class:`SearchDriver`.  ``explorer.run(s)``
-        and ``s.run(explorer)`` are thin shims over this.
-        """
-        driver = SearchDriver(
-            self,
-            budget=budget,
-            on_round=on_round,
-            evaluate=evaluate,
-            should_stop=should_stop,
-        )
-        return driver.run(strategy)
-
     def run(
         self,
         strategy: "SearchStrategy",  # noqa: F821
         *,
         budget: Optional[SearchBudget] = None,
     ) -> ExplorationResult:
-        """Run a search strategy against this explorer (compat shim)."""
-        return self.explore(strategy, budget=budget)
+        """Run a search strategy to its end under ``budget``.
+
+        The synchronous loop of :class:`SearchDriver`: every proposal is
+        evaluated through :meth:`evaluate_many`.
+        """
+        return SearchDriver(self, strategy, budget=budget).run()
 
     def pareto_front(self) -> List[CostReport]:
         return pareto_front([record.report for record in self.records])
@@ -1170,135 +1149,120 @@ class Explorer:
 # The driver loop
 # ----------------------------------------------------------------------
 class SearchDriver:
-    """Owns the propose/observe loop every strategy runs under.
+    """Steps a strategy through the budgeted propose/observe loop.
 
-    The driver — not the strategy — evaluates batches, charges budgets,
-    snapshots progress and decides when to stop, so caching,
-    parallelism, budget enforcement and streaming apply to every
-    strategy uniformly.  Strategies only generate point batches
-    (:meth:`~SearchStrategy.propose`) and digest the evaluated records
-    (:meth:`~SearchStrategy.observe`).
+    The driver — not the strategy — charges budgets, snapshots progress
+    and decides when to stop, so budget enforcement and progress
+    accounting apply to every strategy uniformly.  Strategies only
+    generate point batches (:meth:`~SearchStrategy.propose`) and digest
+    the evaluated records (:meth:`~SearchStrategy.observe`).
 
-    Parameters
-    ----------
-    explorer:
-        The evaluation engine (cache, pool, failure policy).
-    budget:
-        Limits for this run; ``None`` or an all-``None``
-        :class:`SearchBudget` runs to strategy convergence.
-    on_round:
-        Called with each :class:`RoundSnapshot` as the round completes —
-        the service streams these as NDJSON ``progress`` events.
-    evaluate:
-        Override for the evaluation callable (defaults to the
-        explorer's :meth:`~Explorer.evaluate_many`).  The service
-        injects a callable that routes batches through its request
-        coalescer so concurrent sweeps share in-flight evaluations.
-    should_stop:
-        Polled once per round; returning ``True`` stops the run with
-        ``stopped == "cancelled"`` (the service wires this to client
-        disconnects).
+    The caller owns evaluation: :meth:`next_batch` returns the next
+    proposal (``None`` once the run is over), the caller evaluates its
+    points, and :meth:`record` takes the records back and returns the
+    round's :class:`RoundSnapshot`; :meth:`result` assembles the run.
+    :meth:`run` is that loop over :meth:`Explorer.evaluate_many`.  The
+    sweep service steps the same driver on its event loop and evaluates
+    each proposal through its single-flight table.
 
-    The loop per round: ask the strategy for a proposal (``None`` or
-    empty means converged → ``"completed"``), stop *before* evaluating
-    if the budget is already spent (→ ``"budget_exhausted"`` with the
-    axis in ``stop_reason``), trim the batch to the remaining point
-    budget, evaluate, feed the records back through ``observe``, then
-    snapshot.  Asking for the proposal first keeps the labels honest: a
-    strategy whose last round exactly lands the budget still reports
-    ``"completed"``.
+    Each :meth:`next_batch` asks the strategy for a proposal (``None``
+    or empty means converged → ``"completed"``), stops *before*
+    evaluating if the budget is already spent (→ ``"budget_exhausted"``
+    with the axis in ``stop_reason``), and trims the batch to the
+    remaining point and oracle-call budgets.  Asking for the proposal
+    first keeps the labels honest: a strategy whose last round exactly
+    lands the budget still reports ``"completed"``.
     """
 
     def __init__(
         self,
         explorer: Explorer,
+        strategy: "SearchStrategy",  # noqa: F821
         *,
         budget: Optional[SearchBudget] = None,
-        on_round: Optional[Callable[[RoundSnapshot], None]] = None,
-        evaluate: Optional[
-            Callable[[Sequence[DesignPoint], str], List[ExplorationRecord]]
-        ] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.explorer = explorer
+        self.strategy = strategy
         self.budget = budget if budget is not None else SearchBudget()
-        self.on_round = on_round
-        self.should_stop = should_stop
-        self._evaluate = evaluate
-
-    def _coerce(self, proposal: Any) -> Tuple[List[DesignPoint], str]:
-        if isinstance(proposal, Proposal):
-            return list(proposal.points), proposal.step
-        return list(proposal), ""
-
-    def run(self, strategy: "SearchStrategy") -> ExplorationResult:  # noqa: F821
-        explorer = self.explorer
-        evaluate = (
-            self._evaluate if self._evaluate is not None else explorer.evaluate_many
-        )
-        state = BudgetState(budget=self.budget)
-        result = ExplorationResult(
+        self._state = BudgetState(budget=self.budget)
+        self._result = ExplorationResult(
             space_name=explorer.space.name,
             strategy=strategy.name,
             budget=None if self.budget.unlimited else self.budget,
         )
         strategy.begin(explorer)
-        start = time.perf_counter()
-        stopped, stop_reason = "completed", ""
-        while True:
-            state.elapsed_seconds = time.perf_counter() - start
-            if self.should_stop is not None and self.should_stop():
-                stopped = "cancelled"
-                break
-            proposal = strategy.propose(state)
-            if proposal is None:
-                break
-            points, step = self._coerce(proposal)
-            if not points:
-                break
-            reason = state.exhausted_reason()
-            if reason is not None:
-                stopped, stop_reason = "budget_exhausted", reason
-                break
-            remaining = state.remaining_points()
-            if remaining is not None and len(points) > remaining:
+        self._start = time.perf_counter()
+
+    def next_batch(self) -> Optional[Proposal]:
+        """The next budget-trimmed proposal; ``None`` once the run is over."""
+        state = self._state
+        state.elapsed_seconds = time.perf_counter() - self._start
+        proposal = self.strategy.propose(state)
+        if isinstance(proposal, Proposal):
+            points, step = list(proposal.points), proposal.step
+        else:
+            points, step = list(proposal or ()), ""
+        if not points:
+            self._result.stopped = "completed"
+            return None
+        reason = state.exhausted_reason()
+        if reason is not None:
+            self._result.stopped = "budget_exhausted"
+            self._result.stop_reason = reason
+            return None
+        # Oracle-call trimming is conservative (every trimmed-in point
+        # might miss): exact on a cold cache, and on a warm one
+        # uncharged hits just roll into the next proposal.
+        for remaining in (state.remaining_points(), state.remaining_oracle_calls()):
+            if remaining is not None:
                 points = points[:remaining]
-            # Oracle-call trimming is conservative (every trimmed-in
-            # point might miss): exact on a cold cache, and on a warm
-            # one uncharged hits just roll into the next proposal.
-            remaining_calls = state.remaining_oracle_calls()
-            if remaining_calls is not None and len(points) > remaining_calls:
-                points = points[:remaining_calls]
-            records = evaluate(points, step)
-            # Budget charging: every unique proposed point the batch
-            # could not serve as a cache-hit record ran the oracle (or
-            # hit a skipped failure — conservatively charged too).
-            unique = len(dict.fromkeys(points))
-            cache_hits = sum(1 for record in records if record.cache_hit)
-            charged = max(0, unique - cache_hits)
-            state.rounds += 1
-            state.points += len(records)
-            state.oracle_calls += charged
-            state.elapsed_seconds = time.perf_counter() - start
-            result.records.extend(records)
-            strategy.observe(records)
-            snapshot = RoundSnapshot(
-                round=state.rounds,
-                step=step,
-                proposed=len(points),
-                evaluated=len(records),
-                cache_hits=cache_hits,
-                oracle_calls=charged,
-                total_points=state.points,
-                total_oracle_calls=state.oracle_calls,
-                elapsed_seconds=state.elapsed_seconds,
-                front_size=len(result.pareto_front()),
-            )
-            result.rounds.append(snapshot)
-            if self.on_round is not None:
-                self.on_round(snapshot)
-        result.oracle_calls = state.oracle_calls
-        result.stopped = stopped
-        result.stop_reason = stop_reason
-        strategy.finalize(result)
+        return Proposal(points=points, step=step)
+
+    def record(
+        self, proposal: Proposal, records: Sequence[ExplorationRecord]
+    ) -> RoundSnapshot:
+        """Charge one evaluated proposal and feed its records back."""
+        state = self._state
+        # Budget charging: every unique proposed point the batch could
+        # not serve as a cache-hit record ran the oracle (or hit a
+        # skipped failure — conservatively charged too).
+        unique = len(dict.fromkeys(proposal.points))
+        cache_hits = sum(1 for record in records if record.cache_hit)
+        charged = max(0, unique - cache_hits)
+        state.rounds += 1
+        state.points += len(records)
+        state.oracle_calls += charged
+        state.elapsed_seconds = time.perf_counter() - self._start
+        result = self._result
+        result.records.extend(records)
+        self.strategy.observe(records)
+        snapshot = RoundSnapshot(
+            round=state.rounds,
+            step=proposal.step,
+            proposed=len(proposal.points),
+            evaluated=len(records),
+            cache_hits=cache_hits,
+            oracle_calls=charged,
+            total_points=state.points,
+            total_oracle_calls=state.oracle_calls,
+            elapsed_seconds=state.elapsed_seconds,
+            front_size=len(result.pareto_front()),
+        )
+        result.rounds.append(snapshot)
+        return snapshot
+
+    def result(self) -> ExplorationResult:
+        """The run so far; final once :meth:`next_batch` returned ``None``."""
+        result = self._result
+        result.oracle_calls = self._state.oracle_calls
+        self.strategy.finalize(result)
         return result
+
+    def run(self) -> ExplorationResult:
+        """Step to the end, evaluating through the explorer."""
+        evaluate = self.explorer.evaluate_many
+        proposal = self.next_batch()
+        while proposal is not None:
+            self.record(proposal, evaluate(proposal.points, proposal.step))
+            proposal = self.next_batch()
+        return self.result()

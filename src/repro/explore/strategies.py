@@ -1,13 +1,13 @@
 """Pluggable search strategies over a design space.
 
-Strategies are **generators of point batches** driven by the budgeted
-propose/observe loop (:class:`~repro.explore.engine.SearchDriver`):
+Strategies are **generators of point batches** stepped by the budgeted
+propose/observe driver (:class:`~repro.explore.engine.SearchDriver`):
 each round the driver asks :meth:`SearchStrategy.propose` for the next
-batch, evaluates it through the :class:`~repro.explore.engine.Explorer`
-(caching, parallelism, sharding and budget enforcement live there, so
-every strategy gets them for free), and feeds the records back through
-:meth:`SearchStrategy.observe`.  ``strategy.run(explorer)`` remains as
-a thin compat shim over ``explorer.explore(strategy)``.
+batch, its caller evaluates it (``explorer.run(strategy)`` through the
+:class:`~repro.explore.engine.Explorer`, so caching and parallelism
+come for free; the sweep service through its single-flight table), and
+the driver charges the budget and feeds the records back through
+:meth:`SearchStrategy.observe`.
 
 * :class:`ExhaustiveSweep` — the whole cartesian product (or a given
   subset), proposed in bounded batches from a lazy iterator so memory
@@ -48,7 +48,6 @@ from .engine import (
     ExplorationResult,
     Explorer,
     Proposal,
-    SearchBudget,
 )
 from .pareto import pareto_front, pareto_indices
 from .space import DesignPoint, DesignSpace
@@ -80,24 +79,13 @@ class SearchStrategy:
         self, state: BudgetState
     ) -> Union[Proposal, Sequence[DesignPoint], None]:
         """The next batch of points to evaluate; ``None`` when done."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither propose() nor run()"
-        )
+        raise NotImplementedError(f"{type(self).__name__} does not implement propose()")
 
     def observe(self, records: Sequence[ExplorationRecord]) -> None:
         """Digest the evaluated records of the last proposal."""
 
     def finalize(self, result: ExplorationResult) -> None:
         """Stamp strategy-specific fields onto the finished result."""
-
-    def run(
-        self,
-        explorer: Explorer,
-        *,
-        budget: Optional[SearchBudget] = None,
-    ) -> ExplorationResult:
-        """Compat shim: drive this strategy through the budgeted loop."""
-        return explorer.explore(self, budget=budget)
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,9 @@ Sweep request body (``POST /v1/sweep``)::
       "budget": {"max_oracle_calls": 20}  // optional SearchBudget dict
     }
 
-``strategy`` names a server-side search strategy (one of
-:data:`KNOWN_STRATEGIES`); the server then runs the budgeted
-propose/observe driver loop instead of sweeping explicit points, and
+``strategy`` names a server-side search strategy (a key of
+:data:`STRATEGIES`); the server then steps the budgeted
+propose/observe driver instead of sweeping explicit points, and
 the stream gains per-round ``progress`` events.  ``strategy`` is
 mutually exclusive with explicit ``points`` (the strategy proposes its
 own), and ``budget`` requires ``strategy``.  Requests without a
@@ -56,16 +56,25 @@ rejection (with a ``Retry-After`` header), 503 draining.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from ..explore.engine import ExplorationRecord, SearchBudget
 from ..explore.space import DesignPoint, DesignSpace
+from ..explore.strategies import (
+    ExhaustiveSweep,
+    LinearFrontier,
+    ParetoRefine,
+    SearchStrategy,
+)
 
 #: Bumped on incompatible wire-format changes; served by ``/v1/health``.
 PROTOCOL_VERSION = 1
 
-#: Strategy names accepted by the ``strategy`` sweep-request field.
-KNOWN_STRATEGIES: Tuple[str, ...] = ("exhaustive", "frontier", "pareto-refine")
+#: The ``strategy`` sweep-request field: name -> the class the server
+#: builds one fresh instance of per request.
+STRATEGIES: Dict[str, Type[SearchStrategy]] = {
+    cls.name: cls for cls in (ExhaustiveSweep, LinearFrontier, ParetoRefine)
+}
 
 
 class ProtocolError(ValueError):
@@ -197,10 +206,10 @@ class SweepRequest:
         if strategy is not None:
             if not isinstance(strategy, str):
                 raise ProtocolError("'strategy' must be a string")
-            if strategy not in KNOWN_STRATEGIES:
+            if strategy not in STRATEGIES:
                 raise ProtocolError(
                     f"unknown strategy {strategy!r} "
-                    f"(known: {list(KNOWN_STRATEGIES)})",
+                    f"(known: {list(STRATEGIES)})",
                     code="unknown_strategy",
                 )
             if raw_points is not None:

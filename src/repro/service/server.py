@@ -53,17 +53,18 @@ from typing import (
 
 from ..apps.registry import get_app, list_apps
 from ..explore.cache import CacheBackend
-from ..explore.engine import EvaluationCache, ExplorationRecord, Explorer
-from ..explore.space import DesignPoint
-from ..explore.strategies import (
-    ExhaustiveSweep,
-    LinearFrontier,
-    ParetoRefine,
-    SearchStrategy,
+from ..explore.engine import (
+    EvaluationCache,
+    ExplorationRecord,
+    Explorer,
+    SearchDriver,
 )
+from ..explore.space import DesignPoint
+from ..serverthread import ServerThread
 from .coalesce import Outcome, SingleFlight
 from .protocol import (
     PROTOCOL_VERSION,
+    STRATEGIES,
     ProtocolError,
     SweepRequest,
     SweepSummary,
@@ -133,22 +134,6 @@ class ServiceConfig:
 
 #: One prepared point: (point, fingerprint, program name).
 _Prepared = Tuple[DesignPoint, str, str]
-
-
-def _make_strategy(name: str) -> SearchStrategy:
-    """A fresh strategy instance for one sweep request.
-
-    Names are validated at parse time against
-    :data:`~repro.service.protocol.KNOWN_STRATEGIES`; an unknown name
-    here means the two lists drifted apart.
-    """
-    if name == "exhaustive":
-        return ExhaustiveSweep()
-    if name == "frontier":
-        return LinearFrontier()
-    if name == "pareto-refine":
-        return ParetoRefine()
-    raise ProtocolError(f"unknown strategy {name!r}", code="unknown_strategy")
 
 
 # ----------------------------------------------------------------------
@@ -424,10 +409,10 @@ class SweepService:
         """Evaluate one admitted batch into its stream events.
 
         Also returns the decoded records (successes only, in batch
-        order) so the strategy driver can feed them back through
-        ``observe`` and charge oracle budgets — waiter and in-batch
-        duplicate records carry ``cache_hit=True``, so coalesced points
-        are never double-charged.
+        order) for a strategy sweep's driver to charge and feed back
+        through ``observe`` — waiter and in-batch duplicate records
+        carry ``cache_hit=True``, so coalesced points are never
+        double-charged.
 
         Points the cache already holds stream at once and never enter
         the single-flight table: claiming them after another request
@@ -506,16 +491,13 @@ class SweepService:
     # ------------------------------------------------------------------
     # Strategy sweeps (the budgeted propose/observe driver)
     # ------------------------------------------------------------------
-    def _strategy_explorer(
-        self, request: SweepRequest, base: Explorer
-    ) -> Tuple[Explorer, Optional[Explorer]]:
+    def _strategy_explorer(self, request: SweepRequest, base: Explorer) -> Explorer:
         """The explorer a strategy run drives, restricted if asked.
 
         Axis restrictions build a per-request sub-space (sharing the
         base space's programs, so cache keys line up with plain sweeps)
-        wrapped in a private explorer over the shared service cache; the
-        second element is that explorer when one was created, for the
-        caller to close.
+        wrapped in a private explorer over the shared service cache,
+        which the caller closes.
         """
         if not any(
             (
@@ -525,7 +507,7 @@ class SweepService:
                 request.libraries,
             )
         ):
-            return base, None
+            return base
         try:
             space = base.space.restricted(
                 variants=request.variants,
@@ -537,113 +519,57 @@ class SweepService:
             raise ProtocolError(str(exc), code="unknown_axis") from None
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
-        private = Explorer(
+        return Explorer(
             space,
             cache=self.cache,
             workers=self.config.workers,
             on_error="skip",
             retain_records=False,
         )
-        return private, private
-
-    async def _strategy_batch(
-        self,
-        explorer: Explorer,
-        points: List[DesignPoint],
-        batch_size: int,
-        summary: SweepSummary,
-        queue: "asyncio.Queue[Tuple[str, Any]]",
-    ) -> List[ExplorationRecord]:
-        """One driver proposal, evaluated loop-side through the
-        single-flight table; events stream out via ``queue``."""
-        records: List[ExplorationRecord] = []
-        for batch in chunked(points, batch_size):
-            events, batch_records = await self._batch_events(
-                explorer, batch, summary
-            )
-            for event in events:
-                queue.put_nowait(("event", event))
-            records.extend(batch_records)
-        return records
 
     async def _strategy_events(
         self, request: SweepRequest, base: Explorer
     ) -> AsyncIterator[Dict[str, Any]]:
         """The event stream of one strategy-driven sweep.
 
-        The driver loop runs on a worker thread; its ``evaluate``
-        callback crosses back onto the event loop so every oracle call
-        rides the same single-flight/batching path as plain sweeps
-        (concurrent strategy runs and sweeps coalesce against each
-        other).  Record and per-round ``progress`` events flow through
-        a queue as they happen; budget exhaustion ends the stream with
-        a well-formed ``end`` summary, not an error.
+        The :class:`~repro.explore.engine.SearchDriver` is stepped here,
+        on the event loop: each proposal is chunked onto the same
+        single-flight/batching path as plain sweeps (concurrent strategy
+        runs and sweeps coalesce against each other), and only
+        :meth:`~repro.explore.engine.SearchDriver.record` runs on a
+        worker thread, because it re-ranks the front over every record
+        so far.  No thread is held between batches.  Records stream as
+        their batch completes and a ``progress`` event closes every
+        round; budget exhaustion ends the stream with a well-formed
+        ``end`` summary, not an error.
         """
-        explorer, private = self._strategy_explorer(request, base)
+        strategy = STRATEGIES[request.strategy]()
+        explorer = self._strategy_explorer(request, base)
         budget = request.budget
         admitted = len(explorer.space)
         if budget is not None and budget.max_points is not None:
             admitted = min(admitted, budget.max_points)
         self._admit(admitted)
         request_id = self._request_started()
-        loop = asyncio.get_running_loop()
-        queue: "asyncio.Queue[Tuple[str, Any]]" = asyncio.Queue()
-        cancelled = threading.Event()
-        summary = SweepSummary(strategy=request.strategy)
-        batch_size = request.batch_size or self.config.batch_size
-        strategy = _make_strategy(request.strategy or "")
-        driver_task: Optional["asyncio.Task[Any]"] = None
-
-        def finish(_task: Optional["asyncio.Task[Any]"] = None) -> None:
-            if _task is not None and not _task.cancelled():
-                _task.exception()  # consumed; the stream already ended
-            if private is not None:
-                private.close()
-            self._release(admitted)
-            self._request_finished()
-
         try:
             yield start_event(request.app, request_id, admitted)
-
-            def evaluate(
-                points: Sequence[DesignPoint], step: str
-            ) -> List[ExplorationRecord]:
-                future = asyncio.run_coroutine_threadsafe(
-                    self._strategy_batch(
-                        explorer, list(points), batch_size, summary, queue
-                    ),
-                    loop,
-                )
-                return future.result()
-
-            def on_round(snapshot: Any) -> None:
-                loop.call_soon_threadsafe(
-                    queue.put_nowait, ("event", progress_event(snapshot.to_dict()))
-                )
-
-            def run_driver() -> Any:
-                return explorer.explore(
-                    strategy,
-                    budget=budget,
-                    on_round=on_round,
-                    evaluate=evaluate,
-                    should_stop=cancelled.is_set,
-                )
-
-            driver_task = asyncio.create_task(asyncio.to_thread(run_driver))
-            driver_task.add_done_callback(
-                lambda t: queue.put_nowait(("done", t))
-            )
-            while True:
-                kind, payload = await queue.get()
-                if kind == "event":
-                    yield payload
-                    continue
-                task = payload
-                if task.cancelled():
-                    raise asyncio.CancelledError()
-                result = task.result()
-                break
+            summary = SweepSummary(strategy=request.strategy)
+            batch_size = request.batch_size or self.config.batch_size
+            driver = SearchDriver(explorer, strategy, budget=budget)
+            proposal = driver.next_batch()
+            while proposal is not None:
+                records: List[ExplorationRecord] = []
+                for batch in chunked(proposal.points, batch_size):
+                    events, batch_records = await self._batch_events(
+                        explorer, batch, summary
+                    )
+                    for event in events:
+                        yield event
+                    records.extend(batch_records)
+                snapshot = await asyncio.to_thread(driver.record, proposal, records)
+                yield progress_event(snapshot.to_dict())
+                proposal = driver.next_batch()
+            result = driver.result()
             summary.rounds = len(result.rounds)
             summary.oracle_calls = result.oracle_calls
             summary.stopped = result.stopped
@@ -651,14 +577,10 @@ class SweepService:
             summary.cache = self.cache.stats_dict()
             yield end_event(summary.to_dict())
         finally:
-            cancelled.set()
-            if driver_task is not None and not driver_task.done():
-                # An abandoned stream: the driver sees ``should_stop``
-                # at its next round boundary; cleanup (and the drain
-                # accounting) waits for the thread, off this generator.
-                driver_task.add_done_callback(finish)
-            else:
-                finish(driver_task)
+            if explorer is not base:
+                explorer.close()
+            self._release(admitted)
+            self._request_finished()
 
     async def sweep_events(
         self, request: SweepRequest
@@ -1124,7 +1046,7 @@ async def serve(
 # ----------------------------------------------------------------------
 # Thread facade (tests, the load bench, embedding)
 # ----------------------------------------------------------------------
-class ServiceThread:
+class ServiceThread(ServerThread):
     """A sweep server on a background thread with its own event loop.
 
     The synchronous face of :func:`serve` for tests and the perf
@@ -1145,82 +1067,4 @@ class ServiceThread:
         cache: Union[None, EvaluationCache, CacheBackend] = None,
     ) -> None:
         self.service = SweepService(config, cache=cache)
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._state: Optional[_ServerState] = None
-        self._address: Optional[Tuple[str, int]] = None
-        self._drained: Optional[bool] = None
-        self._startup_error: Optional[BaseException] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._address is None:
-            raise RuntimeError("server is not running")
-        return self._address
-
-    @property
-    def base_url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    @property
-    def drained(self) -> Optional[bool]:
-        """True/False after :meth:`stop`; None while running."""
-        return self._drained
-
-    # ------------------------------------------------------------------
-    def start(self, timeout: float = 30.0) -> "ServiceThread":
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("service thread did not become ready")
-        if self._startup_error is not None:
-            raise RuntimeError("service failed to start") from self._startup_error
-        return self
-
-    def _run(self) -> None:
-        def on_ready(bound: Tuple[str, int], state: _ServerState) -> None:
-            self._address = bound
-            self._state = state
-            self._loop = asyncio.get_running_loop()
-            self._ready.set()
-
-        try:
-            self._drained = asyncio.run(
-                serve(
-                    self.service,
-                    install_signal_handlers=False,
-                    ready=on_ready,
-                    log=lambda *args, **kwargs: None,
-                )
-            )
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    def stop(self, timeout: float = 30.0) -> Optional[bool]:
-        """Drain and stop; returns the drain outcome (None if never ran)."""
-        if self._thread is None:
-            return None
-        if self._loop is not None and self._state is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._state.stop_event.set)
-            except RuntimeError:
-                pass  # loop already closed
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("service thread did not stop in time")
-        self._thread = None
-        return self._drained
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        super().__init__(self.service, serve, name="service")

@@ -25,6 +25,7 @@ from repro.api import (
     ProgramBuilder,
     RoundSnapshot,
     SearchBudget,
+    SearchDriver,
     SearchStrategy,
 )
 from repro.memlib.module import MemoryKind
@@ -57,6 +58,21 @@ def _fir_space(**axes):
 
 def _explorer(space=None):
     return Explorer(space if space is not None else _fir_space(), on_error="skip")
+
+
+def _step_by_hand(driver, evaluate):
+    """Step ``driver`` to its end as the sweep service does.
+
+    Returns the round snapshots ``record`` handed back, in order, and
+    the driver's result.
+    """
+    snapshots = []
+    proposal = driver.next_batch()
+    while proposal is not None:
+        records = evaluate(proposal.points, proposal.step)
+        snapshots.append(driver.record(proposal, records))
+        proposal = driver.next_batch()
+    return snapshots, driver.result()
 
 
 # ----------------------------------------------------------------------
@@ -107,9 +123,7 @@ class TestSearchBudget:
 class TestDriverBudgets:
     def test_max_points_exhaustion(self):
         with _explorer() as explorer:
-            result = explorer.explore(
-                ExhaustiveSweep(), budget=SearchBudget(max_points=5)
-            )
+            result = explorer.run(ExhaustiveSweep(), budget=SearchBudget(max_points=5))
         assert result.stopped == "budget_exhausted"
         assert result.stop_reason == "max_points"
         assert len(result.records) == 5
@@ -118,7 +132,7 @@ class TestDriverBudgets:
     def test_exact_budget_reports_completed(self):
         space = _fir_space()
         with _explorer(space) as explorer:
-            result = explorer.explore(
+            result = explorer.run(
                 ExhaustiveSweep(), budget=SearchBudget(max_points=len(space))
             )
         assert result.stopped == "completed"
@@ -127,7 +141,7 @@ class TestDriverBudgets:
 
     def test_max_oracle_calls_is_hard_on_cold_cache(self):
         with _explorer() as explorer:
-            result = explorer.explore(
+            result = explorer.run(
                 ExhaustiveSweep(), budget=SearchBudget(max_oracle_calls=4)
             )
         assert result.stopped == "budget_exhausted"
@@ -140,7 +154,7 @@ class TestDriverBudgets:
         with Explorer(space, cache=cache, on_error="skip") as explorer:
             explorer.run(ExhaustiveSweep())
         with Explorer(space, cache=cache, on_error="skip") as explorer:
-            result = explorer.explore(
+            result = explorer.run(
                 ExhaustiveSweep(), budget=SearchBudget(max_oracle_calls=1)
             )
         # Every point is a cache hit: nothing is charged, the sweep
@@ -151,33 +165,17 @@ class TestDriverBudgets:
 
     def test_max_rounds(self):
         with _explorer() as explorer:
-            result = explorer.explore(
+            result = explorer.run(
                 ExhaustiveSweep(batch_size=2), budget=SearchBudget(max_rounds=2)
             )
         assert result.stopped == "budget_exhausted"
         assert result.stop_reason == "max_rounds"
         assert len(result.rounds) == 2
 
-    def test_should_stop_cancels(self):
-        calls = []
-
-        def stop():
-            calls.append(None)
-            return len(calls) > 1
-
-        with _explorer() as explorer:
-            result = explorer.explore(
-                ExhaustiveSweep(batch_size=2), should_stop=stop
-            )
-        assert result.stopped == "cancelled"
-        assert len(result.records) == 2
-
     def test_round_snapshots_accumulate(self):
-        seen = []
         with _explorer() as explorer:
-            result = explorer.explore(
-                ExhaustiveSweep(batch_size=4), on_round=seen.append
-            )
+            driver = SearchDriver(explorer, ExhaustiveSweep(batch_size=4))
+            seen, result = _step_by_hand(driver, explorer.evaluate_many)
         assert [s.round for s in seen] == [1, 2, 3]
         assert seen == result.rounds
         totals = [s.total_points for s in seen]
@@ -190,9 +188,7 @@ class TestDriverBudgets:
 
     def test_result_json_round_trip_with_budget(self, tmp_path):
         with _explorer() as explorer:
-            result = explorer.explore(
-                ExhaustiveSweep(), budget=SearchBudget(max_points=3)
-            )
+            result = explorer.run(ExhaustiveSweep(), budget=SearchBudget(max_points=3))
         path = tmp_path / "result.json"
         path.write_text(json.dumps(result.to_dict()), encoding="utf-8")
         loaded = ExplorationResult.from_dict(
@@ -214,21 +210,32 @@ class TestDriverBudgets:
         # through the driver (as opposed to a driver run's "completed").
         assert loaded.stopped == ""
 
-    def test_run_shim_matches_explore(self):
+    def test_stepping_by_hand_matches_run(self):
         space = _fir_space()
-        cache = EvaluationCache()
-        with Explorer(space, cache=cache, on_error="skip") as explorer:
-            via_run = explorer.run(ExhaustiveSweep())
-        with Explorer(space, cache=cache, on_error="skip") as explorer:
-            via_explore = explorer.explore(ExhaustiveSweep())
-        assert [r.fingerprint for r in via_run.records] == [
-            r.fingerprint for r in via_explore.records
-        ]
-        assert via_run.stopped == via_explore.stopped == "completed"
+        budget = SearchBudget(max_oracle_calls=7)
+        with _explorer(space) as explorer:
+            via_run = explorer.run(ExhaustiveSweep(batch_size=4), budget=budget)
+        with _explorer(space) as explorer:
+            driver = SearchDriver(
+                explorer, ExhaustiveSweep(batch_size=4), budget=budget
+            )
+            _, by_hand = _step_by_hand(driver, explorer.evaluate_many)
+
+        def timeless(result):
+            data = result.to_dict()
+            for record in data["records"]:
+                del record["seconds"]
+            for snapshot in data["rounds"]:
+                del snapshot["elapsed_seconds"]
+            return data
+
+        assert timeless(by_hand) == timeless(via_run)
+        assert by_hand.stopped == "budget_exhausted"
+        assert by_hand.stop_reason == "max_oracle_calls"
 
 
 # ----------------------------------------------------------------------
-# The evaluate callback (the service's entry point into the driver)
+# Stepping the driver by hand (how the service evaluates each proposal)
 # ----------------------------------------------------------------------
 def _fake_report(label, area, power):
     return CostReport(
@@ -271,11 +278,12 @@ class TestEvaluateCallback:
             return _fake_evaluate(points, step)
 
         with _explorer() as explorer:
-            result = explorer.explore(
+            driver = SearchDriver(
+                explorer,
                 ExhaustiveSweep(batch_size=3),
                 budget=SearchBudget(max_points=7),
-                evaluate=evaluate,
             )
+            _, result = _step_by_hand(driver, evaluate)
         assert sum(len(batch) for batch in batches) == 7
         assert len(result.records) == 7
         # The oracle never ran: every record came from the callback.
@@ -289,7 +297,8 @@ class TestEvaluateCallback:
             return records
 
         with _explorer() as explorer:
-            result = explorer.explore(ExhaustiveSweep(), evaluate=evaluate)
+            driver = SearchDriver(explorer, ExhaustiveSweep())
+            _, result = _step_by_hand(driver, evaluate)
         hits = sum(1 for r in result.records if r.cache_hit)
         assert result.oracle_calls == len(result.records) - hits
 
@@ -315,11 +324,12 @@ class TestLazyConsumption:
 
         monkeypatch.setattr(DesignSpace, "points", boom)
         with _explorer(space) as explorer:
-            result = explorer.explore(
+            driver = SearchDriver(
+                explorer,
                 ExhaustiveSweep(batch_size=8),
                 budget=SearchBudget(max_points=20),
-                evaluate=_fake_evaluate,
             )
+            _, result = _step_by_hand(driver, _fake_evaluate)
         assert result.stopped == "budget_exhausted"
         assert len(result.records) == 20
 
@@ -342,11 +352,8 @@ class TestLazyConsumption:
                 return proposal
 
         with _explorer(self._wide_space()) as explorer:
-            explorer.explore(
-                Probe(),
-                budget=SearchBudget(max_points=10),
-                evaluate=_fake_evaluate,
-            )
+            driver = SearchDriver(explorer, Probe(), budget=SearchBudget(max_points=10))
+            _step_by_hand(driver, _fake_evaluate)
         # The sweep proposed exactly what the budget could pay for,
         # plus the one probe point that surfaces exhaustion.
         assert proposals == [10, 1]

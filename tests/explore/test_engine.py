@@ -277,7 +277,7 @@ def test_greedy_unknown_label_raises():
         [GreedyStep("s", points=[space.point("taps8")], select="nope")]
     )
     with pytest.raises(KeyError):
-        walk.run(explorer)
+        explorer.run(walk)
 
 
 def test_infeasible_points_raise_by_default():

@@ -35,7 +35,7 @@ def _exhaustive(space):
 
 def _frontier(space, budget):
     with Explorer(space, on_error="skip") as explorer:
-        return explorer.explore(LinearFrontier(), budget=budget)
+        return explorer.run(LinearFrontier(), budget=budget)
 
 
 def _coverage_case(space):
@@ -85,7 +85,7 @@ class TestLinearFrontierMechanics:
             "cavity", budget_fractions=(1.0, 0.9), onchip_counts=(None, 2)
         )
         with Explorer(space, on_error="skip") as explorer:
-            result = explorer.explore(LinearFrontier())
+            result = explorer.run(LinearFrontier())
         assert result.stopped == "completed"
         # Converged: every evaluated point is inside the space, nothing
         # evaluated twice.
@@ -105,7 +105,7 @@ class TestLinearFrontierMechanics:
             "cavity", budget_fractions=(1.0,), onchip_counts=(None,)
         )
         with Explorer(space, on_error="skip") as explorer:
-            result = explorer.explore(LinearFrontier())
+            result = explorer.run(LinearFrontier())
         seen = {record.point.variant for record in result.records}
         assert seen == set(space.variant_names)
 
@@ -122,9 +122,8 @@ class TestLinearFrontierMechanics:
         space = _densified(
             "cavity", budget_fractions=(1.0, 0.9), onchip_counts=(None, 2, 4)
         )
-        snapshots = []
         with Explorer(space, on_error="skip") as explorer:
-            explorer.explore(LinearFrontier(), on_round=snapshots.append)
+            snapshots = explorer.run(LinearFrontier()).rounds
         assert snapshots
         assert [s.round for s in snapshots] == list(
             range(1, len(snapshots) + 1)
@@ -137,6 +136,6 @@ class TestLinearFrontierMechanics:
         # graceful no-op, not an error.
         space = DesignSpace("empty", cycle_budget=1000, frame_time_s=1e-3)
         with Explorer(space) as explorer:
-            result = explorer.explore(LinearFrontier())
+            result = explorer.run(LinearFrontier())
         assert result.stopped == "completed"
         assert result.records == []

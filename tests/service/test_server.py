@@ -240,6 +240,80 @@ def test_strategy_with_restricted_axes(client):
     assert events[-1]["summary"]["stopped"] == "completed"
 
 
+def test_client_hangup_mid_strategy_sweep_releases_its_admission(monkeypatch):
+    thread = ServiceThread(ServiceConfig(port=0, batch_size=4)).start()
+    gate = OracleGate(monkeypatch)
+    gate.hold()
+    try:
+        client = ServiceClient(*thread.address, timeout=30)
+        stream = client.sweep(
+            "cavity", strategy="frontier", budget={"max_oracle_calls": 8}
+        )
+        assert next(stream)["type"] == "start"
+        deadline = time.monotonic() + 10
+        while not gate.calls and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert gate.calls
+        # Hang up while the first batch is parked in the oracle.
+        stream.close()
+        client.close()
+    finally:
+        gate.release.set()
+    with ServiceClient(*thread.address, timeout=30) as probe:
+        deadline = time.monotonic() + 30
+        while True:
+            stats = probe.stats()
+            if stats["points"]["pending"] == 0 and stats["requests"]["active"] == 0:
+                break
+            assert time.monotonic() < deadline, stats
+            time.sleep(0.05)
+    assert thread.stop(timeout=30) is True
+
+
+def test_more_strategy_sweeps_than_executor_threads_all_finish():
+    """Strategy requests hold no thread between their batches.
+
+    40 concurrent strategy sweeps outnumber the event loop's default
+    executor on any host (at most 32 threads), and a plain sweep sent
+    meanwhile needs that executor too.  Every stream must still end;
+    the client timeouts turn a wedged server into a failure, not a hang.
+    """
+    n_strategy = 40
+    with ServiceThread(ServiceConfig(port=0, batch_size=4)) as server:
+        with ServiceClient(*server.address, timeout=30) as c:
+            assert list(c.sweep("cavity"))[-1]["type"] == "end"  # warm cache
+        barrier = threading.Barrier(n_strategy + 1)
+        last_events = {}
+        errors = []
+
+        def worker(slot, strategy):
+            try:
+                with ServiceClient(*server.address, timeout=30) as c:
+                    barrier.wait(timeout=30)
+                    events = list(c.sweep("cavity", strategy=strategy))
+                last_events[slot] = events[-1]
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot, "exhaustive"))
+            for slot in range(n_strategy)
+        ]
+        threads.append(threading.Thread(target=worker, args=("plain", None)))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors[:3]
+    assert len(last_events) == n_strategy + 1
+    assert all(event["type"] == "end" for event in last_events.values())
+    assert last_events["plain"]["summary"]["records"] == CAVITY_RECORDS
+    assert all(
+        last_events[slot]["summary"]["stopped"] == "completed"
+        for slot in range(n_strategy)
+    )
+
+
 @pytest.mark.parametrize(
     "payload, code",
     [
@@ -561,7 +635,8 @@ def test_stop_with_idle_keepalive_client():
     assert thread.drained is True
 
 
-def test_stop_waits_for_inflight_sweep(monkeypatch):
+@pytest.mark.parametrize("strategy", [None, "exhaustive"])
+def test_stop_waits_for_inflight_sweep(monkeypatch, strategy):
     thread = ServiceThread(ServiceConfig(port=0, batch_size=4)).start()
     gate = OracleGate(monkeypatch, delay=0.05)
     events = []
@@ -569,7 +644,7 @@ def test_stop_waits_for_inflight_sweep(monkeypatch):
 
     def sweeper():
         with ServiceClient(*thread.address) as c:
-            events.extend(c.sweep("cavity"))
+            events.extend(c.sweep("cavity", strategy=strategy))
         sweep_done.set()
 
     worker = threading.Thread(target=sweeper)

@@ -1,8 +1,8 @@
 """``python -m repro.service`` end to end: boot, serve, SIGTERM drain.
 
 This is the test CI's ``service`` job runs: a real subprocess server on
-an ephemeral port, a client smoke call, and a clean-drain assertion on
-the exit status.
+an ephemeral port, a plain and a budgeted strategy sweep, and a
+clean-drain assertion on the exit status.
 """
 
 import os
@@ -56,6 +56,14 @@ def test_cli_serves_and_drains_on_sigterm():
                 "record",
                 "end",
             ]
+            events = list(
+                client.sweep(
+                    "cavity", strategy="frontier", budget={"max_oracle_calls": 4}
+                )
+            )
+            assert events[-1]["type"] == "end"
+            assert events[-1]["summary"]["stopped"] == "budget_exhausted"
+            assert events[-1]["summary"]["oracle_calls"] <= 4
 
         proc.send_signal(signal.SIGTERM)
         output, _ = proc.communicate(timeout=60)
