@@ -36,5 +36,3 @@ def test_figure1_tree(study, benchmark):
         assert step in result.decisions
     assert tree.count("=>") == 4  # one decision per step
     assert len(result.records) >= 17  # 3 + 4 + 5 + 5 alternatives
-    evaluations = study.session.evaluations
-    assert len(evaluations) >= 17

@@ -19,7 +19,8 @@ Subpackages::
                     cycle budget distribution, allocation/assignment,
                     structuring and hierarchy transforms
     repro.explore   the exploration subsystem behind the facade: design
-                    spaces, the evaluation engine, strategies, sessions
+                    spaces, the evaluation engine, strategies, the BTPC
+                    study
     repro.apps      the workload registry and demonstrators: BTPC codec,
                     motion estimation, cavity detection, 2-D wavelet
 """

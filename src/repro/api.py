@@ -30,9 +30,12 @@ The pieces:
   memoizes every evaluation (content-addressed) and fans batches out
   over worker processes.  ``explorer.run(strategy,
   budget=SearchBudget(max_oracle_calls=50))`` runs the budgeted
-  propose/observe loop and returns the per-round progress snapshots
-  in ``result.rounds``; for live progress, step a
-  :class:`SearchDriver` by hand (``next_batch``/``record``).
+  propose/observe loop, charging only the outcomes the oracle computed
+  (failures included, cache hits free), and returns the per-round
+  progress snapshots in ``result.rounds``; for live progress, step a
+  :class:`SearchDriver` by hand (``next_batch``, then ``record`` with
+  what ``explorer.evaluate_many`` returned: one record per point, an
+  ``on_error="skip"`` failure as ``report=None`` with its ``error``).
 * **Decide** with :func:`pareto_front` / :func:`knee_point`, and
   serialize everything (:class:`ExplorationResult` and
   :class:`CostReport` round-trip through JSON).
@@ -70,7 +73,6 @@ from .explore.pareto import (
     pareto_front,
     pareto_indices,
 )
-from .explore.session import Evaluation, ExplorationSession
 from .explore.space import DesignPoint, DesignSpace, ProgramVariant
 from .explore.strategies import (
     ExhaustiveSweep,
@@ -95,12 +97,10 @@ __all__ = [
     "DiskCache",
     "EvaluationCache",
     "MemoryCache",
-    "Evaluation",
     "ExhaustiveSweep",
     "ExplorationError",
     "ExplorationRecord",
     "ExplorationResult",
-    "ExplorationSession",
     "Explorer",
     "GreedyStep",
     "GreedyStepwise",

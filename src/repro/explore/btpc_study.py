@@ -18,10 +18,10 @@ exploration engine: the alternatives are variants of the declarative
 BTPC :class:`~repro.explore.space.DesignSpace` shared with the workload
 registry (:func:`~repro.apps.btpc.app.build_btpc_space`) and the walk
 itself is a :class:`~repro.explore.strategies.GreedyStepwise` strategy
-whose decisions are the paper's designer decisions.  The walk logs
-every evaluated alternative and decision into an
-:class:`~repro.explore.session.ExplorationSession`, from which the
-exploration tree (Fig. 1) renders.
+whose decisions are the paper's designer decisions.  The exploration
+tree (Fig. 1) renders from the walk's
+:class:`~repro.explore.engine.ExplorationResult`
+(:func:`render_tree`).
 
 Figures 1-3 are regenerated as text artifacts: the exploration tree with
 its cost feedback (Fig. 1), the structuring transforms' concrete effect
@@ -49,9 +49,8 @@ from ..dtse.reuse import describe_stencil, find_stencil
 from ..dtse.structuring import compact_group
 from ..ir.program import Program
 from ..memlib.library import MemoryLibrary, default_library
-from .engine import ExplorationResult, Explorer
-from .session import ExplorationSession
-from .strategies import GreedyStep, GreedyStepwise, StepOutcome
+from .engine import ExplorationRecord, ExplorationResult, Explorer
+from .strategies import GreedyStep, GreedyStepwise
 
 # The methodology steps (and their Fig. 1 layer names), in walk order.
 STEP_STRUCTURING = "Basic group structuring"
@@ -67,6 +66,35 @@ DECISIONS = {
     STEP_BUDGET: f"{CHOSEN_BUDGET_FRACTION:.0%} budget",
     STEP_ALLOCATION: "8 on-chip memories",
 }
+
+
+def render_tree(result: ExplorationResult) -> str:
+    """The exploration tree: our regeneration of the paper's Fig. 1.
+
+    Every methodology step is one layer; the evaluated alternatives
+    fan out below it with their cost feedback; the chosen branch (the
+    step's entry in ``result.decisions``) is marked — the 'Estimated
+    A/T/P to guide decision' loop made concrete.
+    """
+    steps: Dict[str, List[ExplorationRecord]] = {}
+    for record in result.records:
+        steps.setdefault(record.step, []).append(record)
+    lines = ["Pruned System Specification", "        |"]
+    for step, alternatives in steps.items():
+        lines.append(f"  [{step}]  ({len(alternatives)} alternatives evaluated)")
+        for record in alternatives:
+            marker = "=>" if record.label == result.decisions.get(step) else "  "
+            report = record.report
+            lines.append(
+                f"   {marker} {record.label:<28}"
+                f" {report.onchip_area_mm2:7.1f} mm2"
+                f" {report.onchip_power_mw:7.1f} mW on-chip"
+                f" {report.offchip_power_mw:7.1f} mW off-chip"
+                f"   [{record.seconds:.1f}s]"
+            )
+        lines.append("        |")
+    lines.append("  [Physical memory management]  ->  accurate A/T/P")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -88,8 +116,7 @@ class BtpcStudy:
             self.constraints, self.profile, self.library
         )
         self.explorer = Explorer(self.space, workers=self.workers)
-        self.session = ExplorationSession()
-        self._outcomes: Dict[str, StepOutcome] = {}
+        self._results: Dict[str, ExplorationResult] = {}
 
     def hierarchy_alternative(self, name: str) -> Program:
         """One of the four Table 2 programs (built once, by the space)."""
@@ -165,16 +192,14 @@ class BtpcStudy:
 
     def strategy(self) -> GreedyStepwise:
         """The full four-step walk as a reusable strategy object."""
-        return GreedyStepwise(self.greedy_steps(), session=self.session)
+        return GreedyStepwise(self.greedy_steps())
 
-    def _step(self, name: str) -> StepOutcome:
+    def _step(self, name: str) -> ExplorationResult:
         """Run (once) and cache one methodology step."""
-        if name not in self._outcomes:
+        if name not in self._results:
             step = next(s for s in self.greedy_steps() if s.name == name)
-            walk = GreedyStepwise([step], session=self.session)
-            self.explorer.run(walk)
-            self._outcomes[name] = walk.outcomes[0]
-        return self._outcomes[name]
+            self._results[name] = self.explorer.run(GreedyStepwise([step]))
+        return self._results[name]
 
     def explore(self) -> ExplorationResult:
         """Walk all four steps and return the structured result."""
@@ -182,9 +207,9 @@ class BtpcStudy:
             space_name=self.space.name, strategy=GreedyStepwise.name
         )
         for name in STEP_ORDER:
-            outcome = self._step(name)
-            result.records.extend(outcome.records)
-            result.decisions[name] = outcome.chosen.label
+            walk = self._step(name)
+            result.records.extend(walk.records)
+            result.decisions.update(walk.decisions)
         return result
 
     # ------------------------------------------------------------------
@@ -225,8 +250,7 @@ class BtpcStudy:
     # ------------------------------------------------------------------
     def figure1(self) -> str:
         """The stepwise methodology tree with live cost feedback."""
-        self.explore()
-        return self.session.render_tree()
+        return render_tree(self.explore())
 
     def figure2(self) -> str:
         """Concrete before/after of compaction and merging (Fig. 2)."""

@@ -63,7 +63,7 @@ from ..dtse.allocation.assign import DEFAULT_AREA_WEIGHT
 from ..dtse.pipeline import PmmRequest
 from .cache import REMOTE_SCHEME, CacheBackend, DiskCache, resolve_backend
 from .fingerprint import canonical_value, fingerprint_request
-from .pareto import knee_point, pareto_front, pareto_indices
+from .pareto import knee_point, pareto_indices
 from .space import DesignPoint, DesignSpace
 
 __all__ = [
@@ -333,10 +333,13 @@ class EvaluationCache:
 class SearchBudget:
     """Hard limits on one driver run; ``None`` axes are unlimited.
 
-    * ``max_points`` — evaluation *records* produced (cache hits
-      included): the knob for bounding result size and stream length.
-    * ``max_oracle_calls`` — points that could not be served from
-      cache; the knob that matters when the oracle dominates cost.
+    * ``max_points`` — successful evaluation *records* produced (cache
+      hits included): the knob for bounding result size and stream
+      length.
+    * ``max_oracle_calls`` — oracle runs: outcomes the oracle computed
+      for the run, failures included (cache hits, cached failures and
+      in-batch duplicates are free); the knob that matters when the
+      oracle dominates cost.
     * ``max_seconds`` — wall clock for the whole run.
     * ``max_rounds`` — propose/observe iterations.
 
@@ -440,11 +443,9 @@ class BudgetState:
 class RoundSnapshot:
     """Per-round progress accounting, emitted by the driver.
 
-    ``oracle_calls`` charges every unique proposed point the round
-    could not serve as a cache-hit record — fresh oracle runs and
-    skipped failures alike — so the count is exact on a cold cache and
-    a conservative upper bound on a warm one (a negatively-cached
-    failure skips the oracle but is still charged).
+    ``oracle_calls`` counts the round's outcomes the oracle computed
+    (``cache_hit=False``), failures included; ``evaluated`` and
+    ``cache_hits`` count its successful records.
     """
 
     round: int
@@ -505,41 +506,53 @@ class Proposal:
 # ----------------------------------------------------------------------
 @dataclass
 class ExplorationRecord:
-    """One evaluated design point with its provenance."""
+    """One evaluated design point with its provenance.
+
+    A failed evaluation (``on_error="skip"``) is a record too, with
+    ``report=None`` and the oracle's message in ``error``.
+    """
 
     point: DesignPoint
-    report: CostReport
+    report: Optional[CostReport]
     fingerprint: str
     seconds: float = 0.0
     cache_hit: bool = False
     step: str = ""
     program_name: str = ""
+    error: Optional[str] = None
 
     @property
     def label(self) -> str:
+        if self.report is None:
+            return self.point.display_label
         return self.report.label or self.point.display_label
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        data = {
             "point": self.point.to_dict(),
-            "report": self.report.to_dict(),
+            "report": None if self.report is None else self.report.to_dict(),
             "fingerprint": self.fingerprint,
             "seconds": self.seconds,
             "cache_hit": self.cache_hit,
             "step": self.step,
             "program_name": self.program_name,
         }
+        if self.error is not None:
+            data["error"] = self.error
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExplorationRecord":
+        report = data["report"]
         return cls(
             point=DesignPoint.from_dict(data["point"]),
-            report=CostReport.from_dict(data["report"]),
+            report=None if report is None else CostReport.from_dict(report),
             fingerprint=data["fingerprint"],
             seconds=float(data.get("seconds", 0.0)),
             cache_hit=bool(data.get("cache_hit", False)),
             step=data.get("step", ""),
             program_name=data.get("program_name", ""),
+            error=data.get("error"),
         )
 
 
@@ -549,6 +562,7 @@ class ExplorationResult:
 
     space_name: str
     strategy: str
+    #: The successful evaluations, in evaluation order.
     records: List[ExplorationRecord] = field(default_factory=list)
     #: Step name -> chosen label (greedy walks record their decisions).
     decisions: Dict[str, str] = field(default_factory=dict)
@@ -557,8 +571,8 @@ class ExplorationResult:
     budget: Optional[SearchBudget] = None
     #: One snapshot per driver round, in order.
     rounds: List[RoundSnapshot] = field(default_factory=list)
-    #: Points the run could not serve from cache (see
-    #: :class:`RoundSnapshot` for the exact charging rule).
+    #: Oracle runs the run caused, failures included (see
+    #: :class:`SearchBudget`).
     oracle_calls: int = 0
     #: How the run ended: ``"completed"`` (the strategy converged),
     #: ``"budget_exhausted"``, or ``""`` for results that never went
@@ -585,34 +599,6 @@ class ExplorationResult:
 
     def cache_hit_count(self) -> int:
         return sum(1 for record in self.records if record.cache_hit)
-
-    @classmethod
-    def merged(cls, results: Sequence["ExplorationResult"]) -> "ExplorationResult":
-        """Combine shard results into one, deduplicated by fingerprint.
-
-        The inverse of :meth:`Explorer.shard_points`: each worker
-        sweeps its shard, the results merge here.  Records keep their
-        first-seen order across ``results``; a fingerprint appearing in
-        several shards (e.g. overlapping manual partitions) contributes
-        its first record only.  Metadata (space name, strategy) comes
-        from the first result that sets it; decisions merge left to
-        right.
-        """
-        if not results:
-            raise ValueError("merged needs at least one result")
-        merged = cls(
-            space_name=next((r.space_name for r in results if r.space_name), ""),
-            strategy=next((r.strategy for r in results if r.strategy), ""),
-        )
-        seen: set = set()
-        for result in results:
-            for record in result.records:
-                if record.fingerprint in seen:
-                    continue
-                seen.add(record.fingerprint)
-                merged.records.append(record)
-            merged.decisions.update(result.decisions)
-        return merged
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -720,16 +706,13 @@ class Explorer:
         when omitted.
     on_error:
         ``"raise"`` (default) raises :class:`ExplorationError` for an
-        infeasible point; ``"skip"`` drops infeasible points from the
-        batch instead, recording them in :attr:`failures` (a sweep axis
-        routinely contains corners the allocator cannot satisfy).
-    retain_records:
-        ``True`` (default) appends every evaluation to :attr:`records`
-        and every skipped point to :attr:`failures` — what strategies
-        and result assembly expect.  ``False`` keeps both lists empty:
-        the mode for long-lived callers (the :mod:`repro.service`
-        server) that stream records straight to clients and must not
-        grow per-request state without bound.
+        infeasible point; ``"skip"`` returns it as a failure record
+        (``report=None``, ``error`` set) instead (a sweep axis routinely
+        contains corners the allocator cannot satisfy).
+
+    :meth:`evaluate_many` keeps no state on the explorer.  Only
+    :meth:`run` appends, to :attr:`failures`, the ``(point, error)``
+    pairs its rounds skipped, once per round and point.
     """
 
     #: Fewest misses worth spinning up a cold pool for.
@@ -744,7 +727,6 @@ class Explorer:
         area_weight: float = DEFAULT_AREA_WEIGHT,
         seed: int = 0,
         on_error: str = "raise",
-        retain_records: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -761,8 +743,6 @@ class Explorer:
         self.area_weight = area_weight
         self.seed = seed
         self.on_error = on_error
-        self.retain_records = retain_records
-        self.records: List[ExplorationRecord] = []
         self.failures: List[Tuple[DesignPoint, str]] = []
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -919,38 +899,6 @@ class Explorer:
             fingerprints.append(sha256(blob.encode("utf-8")).hexdigest())
         return fingerprints
 
-    def shard_points(
-        self,
-        count: int,
-        index: int,
-        points: Optional[Sequence[DesignPoint]] = None,
-    ) -> List[DesignPoint]:
-        """Deterministic fingerprint partition of a sweep into shards.
-
-        Splits the space's full cartesian product (or ``points``) into
-        ``count`` disjoint shards by content address: shard ``index``
-        keeps the points whose fingerprint prefix falls in its residue
-        class.  Because the partition key is the same fingerprint the
-        memo cache is addressed by, a fleet of workers sharing one
-        ``remote://`` cache tier can each sweep its shard with **zero**
-        coordination and zero duplicate oracle evaluations, then
-        combine with :meth:`ExplorationResult.merged`.  The partition
-        is stable across processes and machines (content hashes, not
-        ``hash()``), and every point lands in exactly one shard.
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if not 0 <= index < count:
-            raise ValueError(f"index must be in [0, {count}), got {index}")
-        if points is None:
-            points = self.space.points()
-        fingerprints = self.fingerprint_points(points)
-        return [
-            point
-            for point, fingerprint in zip(points, fingerprints)
-            if int(fingerprint[:8], 16) % count == index
-        ]
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -963,11 +911,15 @@ class Explorer:
     ) -> List[ExplorationRecord]:
         """Evaluate a batch; misses fan out over the process pool.
 
-        Records come back in the order of ``points`` whatever the
-        completion order, so parallel runs are bit-identical to serial
-        ones.  Duplicate points within the batch are evaluated once:
-        only the first occurrence of a fingerprint counts as the miss
-        (and carries the oracle seconds); the rest are cache hits.
+        Returns one record per point, in the order of ``points``
+        whatever the completion order, so parallel runs are
+        bit-identical to serial ones.  With ``on_error="skip"`` a failed
+        point is a record with ``report=None`` and its ``error``.
+        Duplicate points within the batch are evaluated once: only the
+        first occurrence of a fingerprint the oracle ran for has
+        ``cache_hit=False`` (and carries the oracle seconds); the rest,
+        cached failures included, are cache hits.  The explorer keeps
+        no record of the batch; the cache holds its outcomes.
 
         The batch is assembled **vectorized**: fingerprints come from
         one :meth:`fingerprint_points` pass (shared fragments and knob
@@ -1019,14 +971,8 @@ class Explorer:
         program_names: Dict[str, str] = {}  # variant -> program.name
         for point, fingerprint in zip(points, fingerprints):
             report, error = known[fingerprint]
-            if report is None:  # failed and on_error == "skip"
-                if self.retain_records:
-                    failure = (point, error)
-                    if failure not in self.failures:
-                        self.failures.append(failure)
-                continue
             label = point.display_label
-            if report.label != label:
+            if report is not None and report.label != label:
                 report = dataclasses.replace(report, label=label)
             # Only the first occurrence of a freshly computed
             # fingerprint is the miss and carries the oracle seconds;
@@ -1045,10 +991,9 @@ class Explorer:
                 cache_hit=elapsed is None,
                 step=step,
                 program_name=program_name,
+                error=error,
             )
             records.append(record)
-        if self.retain_records:
-            self.records.extend(records)
         return records
 
     def _evaluate_misses(
@@ -1064,7 +1009,7 @@ class Explorer:
         ``on_error="raise"`` it raises at the first failure and consumes
         nothing after it.  What it consumed is stored in one
         :meth:`EvaluationCache.store_many`, also on a raise or an
-        interrupt.  Returns the oracle seconds per computed report.
+        interrupt.  Returns the oracle seconds per computed outcome.
         """
         requests = list(fresh.values())
         # The builtin map is lazy: each oracle call runs only when the
@@ -1114,9 +1059,9 @@ class Explorer:
             ):
                 self.cache.count_misses()
                 known[fingerprint] = (report, error)
+                seconds[fingerprint] = elapsed
                 if error is None:
                     reports[fingerprint] = report
-                    seconds[fingerprint] = elapsed
                 elif self.on_error == "raise":
                     raise ExplorationError(
                         f"evaluation of {request.label!r} failed: {error}"
@@ -1141,9 +1086,6 @@ class Explorer:
         """
         return SearchDriver(self, strategy, budget=budget).run()
 
-    def pareto_front(self) -> List[CostReport]:
-        return pareto_front([record.report for record in self.records])
-
 
 # ----------------------------------------------------------------------
 # The driver loop
@@ -1159,8 +1101,10 @@ class SearchDriver:
 
     The caller owns evaluation: :meth:`next_batch` returns the next
     proposal (``None`` once the run is over), the caller evaluates its
-    points, and :meth:`record` takes the records back and returns the
-    round's :class:`RoundSnapshot`; :meth:`result` assembles the run.
+    points, and :meth:`record` takes the outcomes back (one record per
+    point, failures included, as :meth:`Explorer.evaluate_many`
+    returns them) and returns the round's :class:`RoundSnapshot`;
+    :meth:`result` assembles the run.
     :meth:`run` is that loop over :meth:`Explorer.evaluate_many`.  The
     sweep service steps the same driver on its event loop and evaluates
     each proposal through its single-flight table.
@@ -1210,25 +1154,26 @@ class SearchDriver:
             self._result.stopped = "budget_exhausted"
             self._result.stop_reason = reason
             return None
-        # Oracle-call trimming is conservative (every trimmed-in point
-        # might miss): exact on a cold cache, and on a warm one
-        # uncharged hits just roll into the next proposal.
+        # Every trimmed-in point may run the oracle, so a round never
+        # overshoots the oracle-call budget.
         for remaining in (state.remaining_points(), state.remaining_oracle_calls()):
             if remaining is not None:
                 points = points[:remaining]
         return Proposal(points=points, step=step)
 
     def record(
-        self, proposal: Proposal, records: Sequence[ExplorationRecord]
+        self, proposal: Proposal, outcomes: Sequence[ExplorationRecord]
     ) -> RoundSnapshot:
-        """Charge one evaluated proposal and feed its records back."""
+        """Charge one evaluated proposal and feed its successes back.
+
+        Each outcome with ``cache_hit=False`` is one oracle run and is
+        charged, failures included; only successes reach ``observe``,
+        the result's records and the point count.
+        """
         state = self._state
-        # Budget charging: every unique proposed point the batch could
-        # not serve as a cache-hit record ran the oracle (or hit a
-        # skipped failure — conservatively charged too).
-        unique = len(dict.fromkeys(proposal.points))
+        charged = sum(1 for outcome in outcomes if not outcome.cache_hit)
+        records = [outcome for outcome in outcomes if outcome.report is not None]
         cache_hits = sum(1 for record in records if record.cache_hit)
-        charged = max(0, unique - cache_hits)
         state.rounds += 1
         state.points += len(records)
         state.oracle_calls += charged
@@ -1259,10 +1204,22 @@ class SearchDriver:
         return result
 
     def run(self) -> ExplorationResult:
-        """Step to the end, evaluating through the explorer."""
-        evaluate = self.explorer.evaluate_many
+        """Step to the end, evaluating through the explorer.
+
+        Each round's skipped points are appended to
+        ``explorer.failures``, once each.
+        """
+        explorer = self.explorer
         proposal = self.next_batch()
         while proposal is not None:
-            self.record(proposal, evaluate(proposal.points, proposal.step))
+            outcomes = explorer.evaluate_many(proposal.points, proposal.step)
+            self.record(proposal, outcomes)
+            explorer.failures.extend(
+                dict.fromkeys(
+                    (outcome.point, outcome.error)
+                    for outcome in outcomes
+                    if outcome.report is None
+                )
+            )
             proposal = self.next_batch()
         return self.result()

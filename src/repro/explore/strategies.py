@@ -30,7 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -51,9 +50,6 @@ from .engine import (
 )
 from .pareto import pareto_front, pareto_indices
 from .space import DesignPoint, DesignSpace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .session import ExplorationSession
 
 
 class SearchStrategy:
@@ -190,36 +186,20 @@ class GreedyStep:
         raise KeyError(f"step {self.name!r} has no alternative {self.select!r}")
 
 
-@dataclass
-class StepOutcome:
-    """The evaluated alternatives and decision of one greedy step."""
-
-    step: str
-    records: List[ExplorationRecord]
-    chosen: ExplorationRecord
-
-
 class GreedyStepwise(SearchStrategy):
     """The paper's stepwise feedback walk (Figure 1) as a strategy.
 
     One driver round per methodology step: the step's alternatives are
     proposed as a batch, and the decision commits in ``observe`` so the
-    next step's lazy generator sees it.  Pass a
-    :class:`~repro.explore.session.ExplorationSession` to mirror every
-    evaluation and decision into the legacy decision log (the
-    exploration-tree rendering feeds off it).
+    next step's lazy generator sees it.  The result's records carry
+    each alternative's step, and its ``decisions`` map each step to the
+    chosen label.
     """
 
     name = "greedy-stepwise"
 
-    def __init__(
-        self,
-        steps: Sequence[GreedyStep],
-        session: Optional["ExplorationSession"] = None,
-    ) -> None:
+    def __init__(self, steps: Sequence[GreedyStep]) -> None:
         self.steps = list(steps)
-        self.session = session
-        self.outcomes: List[StepOutcome] = []
         self._context: Optional[GreedyContext] = None
         self._index = 0
         self._current: Optional[GreedyStep] = None
@@ -230,7 +210,6 @@ class GreedyStepwise(SearchStrategy):
         self._index = 0
         self._current = None
         self._decisions = {}
-        self.outcomes = []
 
     def propose(self, state: BudgetState) -> Optional[Proposal]:
         if self._index >= len(self.steps):
@@ -245,13 +224,6 @@ class GreedyStepwise(SearchStrategy):
         step = self._current
         chosen = step.decide(records)
         self._context.chosen[step.name] = chosen
-        self.outcomes.append(
-            StepOutcome(step=step.name, records=list(records), chosen=chosen)
-        )
-        if self.session is not None:
-            for record in records:
-                self.session.log_record(record)
-            self.session.choose(step.name, chosen.label)
         self._decisions[step.name] = chosen.label
         self._index += 1
 

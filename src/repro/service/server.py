@@ -187,10 +187,10 @@ class SweepService:
     def explorer(self, app: str) -> Explorer:
         """The app's long-lived explorer (created on first use).
 
-        Every explorer shares the service cache; ``on_error="skip"``
-        turns infeasible corners into streamable failure events, and
-        ``retain_records=False`` keeps the explorer stateless across
-        requests (records go to clients, not into explorer memory).
+        Every explorer shares the service cache, and ``on_error="skip"``
+        turns infeasible corners into streamable failure events.  The
+        service only calls ``evaluate_many``, which keeps no state on
+        the explorer, so it stays stateless across requests.
         """
         with self._explorer_lock:
             explorer = self._explorers.get(app)
@@ -200,7 +200,6 @@ class SweepService:
                     cache=self.cache,
                     workers=self.config.workers,
                     on_error="skip",
-                    retain_records=False,
                 )
                 self._explorers[app] = explorer
             return explorer
@@ -364,41 +363,28 @@ class SweepService:
         explorer: Explorer,
         points: Sequence[DesignPoint],
         fingerprints: Sequence[str],
-    ) -> Dict[str, Tuple[Outcome, Optional[ExplorationRecord]]]:
+    ) -> Dict[str, ExplorationRecord]:
         """Run one owned batch and fan its outcomes out to all waiters.
 
-        Runs as its own task so a cancelled (disconnected) owner never
-        strands waiters: the futures claimed here are always resolved
-        or failed, whatever happens to the request that spawned it.
+        ``points`` holds one point per fingerprint, so the batch's
+        records (failures included) map one to one onto
+        ``fingerprints``.  Runs as its own task so a cancelled
+        (disconnected) owner never strands waiters: the futures claimed
+        here are always resolved or failed, whatever happens to the
+        request that spawned it.
         """
-
-        def evaluate() -> Tuple[List[ExplorationRecord], Dict[str, Outcome]]:
-            records = explorer.evaluate_many(list(points), "service")
-            evaluated = {record.fingerprint for record in records}
-            # Points the explorer skipped are negatively cached: one
-            # probe reads their errors, on this worker thread.
-            skipped = [fp for fp in fingerprints if fp not in evaluated]
-            return records, self.cache.lookup_many(skipped) if skipped else {}
-
         try:
             async with self._batch_sem:
-                records, failed = await asyncio.to_thread(evaluate)
+                records = await asyncio.to_thread(
+                    explorer.evaluate_many, list(points), "service"
+                )
         except BaseException as exc:
             for fingerprint in fingerprints:
                 self._flight.fail(fingerprint, exc)
             raise
-        by_fingerprint = {record.fingerprint: record for record in records}
-        outcomes: Dict[str, Tuple[Outcome, Optional[ExplorationRecord]]] = {}
-        for fingerprint in fingerprints:
-            record = by_fingerprint.get(fingerprint)
-            if record is not None:
-                outcome: Outcome = (record.report, None)
-            else:
-                error = failed.get(fingerprint, (None, None))[1]
-                outcome = (None, error or "evaluation failed")
-            self._flight.resolve(fingerprint, outcome)
-            outcomes[fingerprint] = (outcome, record)
-        return outcomes
+        for record in records:
+            self._flight.resolve(record.fingerprint, (record.report, record.error))
+        return {record.fingerprint: record for record in records}
 
     async def _batch_events(
         self,
@@ -408,11 +394,11 @@ class SweepService:
     ) -> Tuple[List[Dict[str, Any]], List[ExplorationRecord]]:
         """Evaluate one admitted batch into its stream events.
 
-        Also returns the decoded records (successes only, in batch
-        order) for a strategy sweep's driver to charge and feed back
-        through ``observe`` — waiter and in-batch duplicate records
-        carry ``cache_hit=True``, so coalesced points are never
-        double-charged.
+        Also returns one record per point, failures included, in batch
+        order, for a strategy sweep's driver to charge and feed back.
+        Only an owned point's own record keeps the explorer's
+        ``cache_hit``; cached, coalesced and in-batch duplicate points
+        carry ``cache_hit=True``, so the oracle work is charged once.
 
         Points the cache already holds stream at once and never enter
         the single-flight table: claiming them after another request
@@ -424,11 +410,10 @@ class SweepService:
         owned, waited = self._flight.claim(
             [fp for _, fp, _ in prepared if fp not in cached]
         )
-        owned_set = set(owned)
         first_for: Dict[str, DesignPoint] = {}
         for point, fingerprint, _ in prepared:
             first_for.setdefault(fingerprint, point)
-        outcomes: Dict[str, Tuple[Outcome, Optional[ExplorationRecord]]] = {}
+        outcomes: Dict[str, ExplorationRecord] = {}
         if owned:
             task = asyncio.create_task(
                 self._evaluate_owned(explorer, [first_for[fp] for fp in owned], owned)
@@ -445,47 +430,41 @@ class SweepService:
         events: List[Dict[str, Any]] = []
         records: List[ExplorationRecord] = []
         for point, fingerprint, program_name in prepared:
+            record = outcomes.get(fingerprint)
             if fingerprint in cached:
                 report, error = cached[fingerprint]
-                record = None
-            elif fingerprint in outcomes:
-                (report, error), record = outcomes[fingerprint]
+            elif record is not None:
+                report, error = record.report, record.error
             else:
                 report, error = await self._flight.wait(waited[fingerprint])
-                record = None
                 summary.coalesced += 1
                 self.points_coalesced += 1
-            if report is None:
-                summary.failures += 1
-                self.failures_served += 1
-                events.append(failure_event(point, error or "evaluation failed"))
-                continue
             if record is None or record.point is not point:
                 # A cache hit, a waiter, or an in-batch duplicate of the
                 # owned point: rebuild the record around *this* point's
                 # label; the oracle work happened at most once.
                 label = point.display_label
+                if report is not None and report.label != label:
+                    report = dataclasses.replace(report, label=label)
                 record = ExplorationRecord(
                     point=point,
-                    report=(
-                        dataclasses.replace(report, label=label)
-                        if report.label != label
-                        else report
-                    ),
+                    report=report,
                     fingerprint=fingerprint,
                     seconds=0.0,
                     cache_hit=True,
                     step="service",
                     program_name=program_name,
+                    error=error,
                 )
+            records.append(record)
+            if report is None:
+                summary.failures += 1
+                self.failures_served += 1
+                events.append(failure_event(point, error))
+                continue
             summary.records += 1
             self.records_served += 1
             events.append(record_event(record))
-            records.append(record)
-        # Defensive: every claim must retire even if event assembly
-        # above ever grows an early exit.
-        for fingerprint in owned_set - set(outcomes):
-            self._flight.resolve(fingerprint, (None, "internal error"))
         return events, records
 
     # ------------------------------------------------------------------
@@ -524,7 +503,6 @@ class SweepService:
             cache=self.cache,
             workers=self.config.workers,
             on_error="skip",
-            retain_records=False,
         )
 
     async def _strategy_events(
@@ -558,15 +536,15 @@ class SweepService:
             driver = SearchDriver(explorer, strategy, budget=budget)
             proposal = driver.next_batch()
             while proposal is not None:
-                records: List[ExplorationRecord] = []
+                outcomes: List[ExplorationRecord] = []
                 for batch in chunked(proposal.points, batch_size):
-                    events, batch_records = await self._batch_events(
+                    events, batch_outcomes = await self._batch_events(
                         explorer, batch, summary
                     )
                     for event in events:
                         yield event
-                    records.extend(batch_records)
-                snapshot = await asyncio.to_thread(driver.record, proposal, records)
+                    outcomes.extend(batch_outcomes)
+                snapshot = await asyncio.to_thread(driver.record, proposal, outcomes)
                 yield progress_event(snapshot.to_dict())
                 proposal = driver.next_batch()
             result = driver.result()
@@ -608,7 +586,7 @@ class SweepService:
             summary = SweepSummary()
             batch_size = request.batch_size or self.config.batch_size
             for batch in chunked(points, batch_size):
-                events, _records = await self._batch_events(explorer, batch, summary)
+                events, _outcomes = await self._batch_events(explorer, batch, summary)
                 for event in events:
                     yield event
             summary.cache = self.cache.stats_dict()

@@ -20,7 +20,11 @@ from repro.api import (
     ExplorationRecord,
     ExplorationResult,
     Explorer,
+    GreedyStep,
+    GreedyStepwise,
+    LinearFrontier,
     MemoryCost,
+    ParetoRefine,
     Proposal,
     ProgramBuilder,
     RoundSnapshot,
@@ -232,6 +236,59 @@ class TestDriverBudgets:
         assert timeless(by_hand) == timeless(via_run)
         assert by_hand.stopped == "budget_exhausted"
         assert by_hand.stop_reason == "max_oracle_calls"
+
+
+# ----------------------------------------------------------------------
+# Exact charging: the budget counts what the oracle ran
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def warm_cavity():
+    """A cavity explorer after one exhaustive sweep: 14 reports and 6
+    failures in its cache."""
+    with Explorer.for_app("cavity", on_error="skip") as explorer:
+        explorer.run(ExhaustiveSweep())
+        yield explorer
+
+
+def _whole_space_greedy(explorer):
+    return GreedyStepwise([GreedyStep("every point", explorer.space.points())])
+
+
+class TestExactCharging:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda _: ExhaustiveSweep(),
+            lambda _: LinearFrontier(),
+            lambda _: ParetoRefine(),
+            _whole_space_greedy,
+        ],
+        ids=["exhaustive", "frontier", "pareto-refine", "greedy"],
+    )
+    def test_warm_cache_charges_nothing(self, warm_cavity, make):
+        misses = warm_cavity.cache.misses
+        result = warm_cavity.run(make(warm_cavity))
+        assert warm_cavity.cache.misses == misses
+        assert result.oracle_calls == 0
+        assert [s.oracle_calls for s in result.rounds] == [0] * len(result.rounds)
+
+    def test_warm_budgeted_sweep_completes(self, warm_cavity):
+        result = warm_cavity.run(
+            ExhaustiveSweep(), budget=SearchBudget(max_oracle_calls=4)
+        )
+        assert result.stopped == "completed"
+        assert len(result.records) == 14
+        assert result.oracle_calls == 0
+
+    def test_failure_and_its_relabeled_copy_charge_one_call(self):
+        with Explorer.for_app("cavity", on_error="skip") as explorer:
+            point = explorer.space.point("gauss line buffer", n_onchip=6)
+            copy = point.relabeled("the same point again")
+            result = explorer.run(ExhaustiveSweep([point, copy]))
+            assert explorer.cache.misses == 1
+        assert result.oracle_calls == 1
+        assert result.records == []
+        assert [p for p, _ in explorer.failures] == [point, copy]
 
 
 # ----------------------------------------------------------------------

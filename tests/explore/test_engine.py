@@ -294,15 +294,21 @@ def test_infeasible_points_skippable():
     explorer = Explorer(space, on_error="skip")
     points = [space.point("taps8"), space.point("taps8", n_onchip=10)]
     records = explorer.evaluate_many(points)
-    assert len(records) == 1
-    assert records[0].point == points[0]
-    assert len(explorer.failures) == 1
-    assert explorer.failures[0][0] == points[1]
+    # One record per point: the failure comes back in place, computed
+    # by this call, and evaluate_many keeps nothing on the explorer.
+    assert [r.point for r in records] == points
+    assert records[0].report is not None and records[0].error is None
+    failed = records[1]
+    assert failed.report is None and "AssignmentError" in failed.error
+    assert not failed.cache_hit
+    assert failed.fingerprint == explorer.fingerprint_points(points)[1]
+    assert explorer.failures == []
     # The failure is negatively cached: retrying does not re-run the
-    # oracle and does not duplicate the failure entry.
+    # oracle, and both outcomes come back as hits.
     again = explorer.evaluate_many(points)
-    assert len(again) == 1 and again[0].cache_hit
-    assert len(explorer.failures) == 1
+    assert [r.cache_hit for r in again] == [True, True]
+    assert again[1].error == failed.error
+    assert explorer.cache.misses == 2
 
 
 def test_infeasible_points_skippable_parallel(monkeypatch):
@@ -314,9 +320,8 @@ def test_infeasible_points_skippable_parallel(monkeypatch):
     points = [space.point("taps8"), space.point("taps8", n_onchip=10)]
     records = explorer.evaluate_many(points)
     assert explorer._pool is not None  # the pool really was exercised
-    assert len(records) == 1
-    assert len(explorer.failures) == 1
-    assert "10" in explorer.failures[0][1]
+    assert [r.report is None for r in records] == [False, True]
+    assert "10" in records[1].error
     explorer.close()
 
 
@@ -387,7 +392,7 @@ def test_serial_batch_is_stored_once():
     explorer = Explorer(space, cache=backend, on_error="skip")
     batch = space.points()[:3] + [space.point("taps8", n_onchip=10)]
     records = explorer.evaluate_many(batch)
-    assert len(records) == 3 and len(explorer.failures) == 1
+    assert [r.report is None for r in records] == [False, False, False, True]
     assert backend.puts == 0
     assert backend.batches == [set(explorer.fingerprint_points(batch))]
 
@@ -442,53 +447,3 @@ def test_pareto_refine_stays_inside_space_and_reuses_cache():
     for record in refined.pareto_front():
         key = (record.report.onchip_area_mm2, record.report.total_power_mw)
         assert key in exhaustive_front
-
-
-# ----------------------------------------------------------------------
-# Sweep sharding and shard-result merging
-# ----------------------------------------------------------------------
-def test_shard_points_partitions_space():
-    explorer = Explorer(_fir_space())
-    points = explorer.space.points()
-    shards = [explorer.shard_points(3, i) for i in range(3)]
-    assert sum(len(s) for s in shards) == len(points)
-    labels = [p.display_label for s in shards for p in s]
-    assert len(labels) == len(set(labels))  # disjoint
-    # The partition is deterministic across explorer instances.
-    again = Explorer(_fir_space())
-    assert [p.display_label for p in again.shard_points(3, 0)] == [
-        p.display_label for p in shards[0]
-    ]
-
-
-def test_shard_points_validates_arguments():
-    explorer = Explorer(_fir_space())
-    with pytest.raises(ValueError):
-        explorer.shard_points(0, 0)
-    with pytest.raises(ValueError):
-        explorer.shard_points(2, 2)
-
-
-def test_merged_deduplicates_by_fingerprint(serial_result):
-    result, _ = serial_result
-    half = len(result.records) // 2
-    first = ExplorationResult(
-        space_name="fir",
-        strategy="shard",
-        records=list(result.records[:half]),
-        decisions={"a": "x"},
-    )
-    # Overlapping shards: the shared records must merge away.
-    second = ExplorationResult(
-        space_name="fir",
-        strategy="shard",
-        records=list(result.records[half - 1 :]),
-        decisions={"b": "y"},
-    )
-    merged = ExplorationResult.merged([first, second])
-    assert len(merged.records) == len(result.records)
-    assert merged.space_name == "fir"
-    assert merged.strategy == "shard"
-    assert merged.decisions == {"a": "x", "b": "y"}
-    with pytest.raises(ValueError):
-        ExplorationResult.merged([])

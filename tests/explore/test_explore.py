@@ -1,16 +1,10 @@
-"""Exploration sessions and Pareto utilities."""
+"""Pareto utilities and the cost table."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.costs import CostReport, MemoryCost, render_cost_table
-from repro.explore import (
-    ExplorationSession,
-    Explorer,
-    dominates,
-    knee_point,
-    pareto_front,
-)
+from repro.explore import dominates, knee_point, pareto_front
 from repro.memlib import MemoryKind
 
 
@@ -80,43 +74,6 @@ def test_knee_point_zero_span_axis():
     # area span must not bias the distance.
     front = [_report("hot", 2.0, 9.0), _report("cool", 2.0, 1.0)]
     assert knee_point(front).label == "cool"
-
-
-def _logged_session(*alternatives):
-    """A session filled through ``log_record`` with engine records, one
-    evaluated alternative per (step, label)."""
-    explorer = Explorer.for_app("cavity")
-    point = explorer.space.point("baseline")
-    session = ExplorationSession()
-    for step, label in alternatives:
-        (record,) = explorer.evaluate_many([point.relabeled(label)], step)
-        session.log_record(record)
-    return session
-
-
-def test_session_logs_and_chooses():
-    session = _logged_session(("step A", "alt 1"), ("step A", "alt 2"))
-    assert len(session.alternatives("step A")) == 2
-    session.choose("step A", "alt 2")
-    assert [e.chosen for e in session.alternatives("step A")] == [False, True]
-    with pytest.raises(KeyError):
-        session.choose("step A", "missing")
-    tree = session.render_tree()
-    assert "step A" in tree and "=>" in tree
-
-
-def test_rechoosing_clears_previous_choice():
-    session = _logged_session(
-        ("step A", "alt 1"), ("step A", "alt 2"), ("step B", "other")
-    )
-    session.choose("step A", "alt 1")
-    session.choose("step A", "alt 2")  # the designer changes their mind
-    assert [e.chosen for e in session.alternatives("step A")] == [False, True]
-    session.choose("step B", "other")
-    session.choose("step A", "alt 1")  # and back again
-    assert [e.chosen for e in session.alternatives("step A")] == [True, False]
-    # Choosing in one step never disturbs another step's decision.
-    assert [e.chosen for e in session.alternatives("step B")] == [True]
 
 
 def test_render_cost_table_layout():

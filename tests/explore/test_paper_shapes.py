@@ -5,6 +5,8 @@ ours, the *orderings and trends* are the paper's (see EXPERIMENTS.md for
 the paper-vs-measured record).
 """
 
+import re
+
 import pytest
 
 
@@ -135,6 +137,16 @@ def test_figure1_tree_shows_all_steps(study, tables):
                  "Cycle budget", "Memory allocation"):
         assert step in tree
     assert tree.count("=>") == 4  # one decision per step
+
+
+def test_figure1_renders_one_walk_after_a_strategy_run(study, tables):
+    # The tables already walked every step, so this full walk runs no
+    # oracle call; the tree must still show each alternative once.
+    study.explorer.run(study.strategy())
+    tree = study.figure1()
+    counts = re.findall(r"\((\d+) alternatives evaluated\)", tree)
+    assert counts == ["3", "4", "5", "5"]
+    assert tree.count("=>") == 4
 
 
 def test_figure2_shows_transforms(study):

@@ -106,7 +106,11 @@ def test_full_sweep_stream(server, client):
 def test_sweep_records_match_direct_evaluation(server, client):
     served = client.sweep_records("cavity")
     explorer = Explorer.for_app("cavity", on_error="skip")
-    direct = explorer.evaluate_many(explorer.space.points(), "direct")
+    direct = [
+        record
+        for record in explorer.evaluate_many(explorer.space.points(), "direct")
+        if record.report is not None
+    ]
     assert [r.fingerprint for r in served] == [r.fingerprint for r in direct]
     assert [r.report.to_dict() for r in served] == [
         r.report.to_dict() for r in direct
@@ -217,11 +221,24 @@ def test_strategy_sweeps_share_the_service_cache(client):
     second = list(client.sweep("cavity", strategy="exhaustive"))[-1]["summary"]
     assert first["stopped"] == second["stopped"] == "completed"
     # The warm run does no new oracle work: the global miss counter is
-    # unchanged.  (Its charged calls are exactly the cached *failures*
-    # — they yield no record to prove the hit, so the driver's
-    # conservative rule still bills them.)
+    # unchanged.
     assert second["cache"]["misses"] == first["cache"]["misses"]
-    assert second["oracle_calls"] == CAVITY_FAILURES
+    assert second["oracle_calls"] == 0
+
+
+def test_warm_strategy_sweep_charges_no_oracle_calls(client):
+    """Cached failures are free: a warm budgeted sweep runs to the end."""
+    first = list(client.sweep("cavity", strategy="exhaustive"))[-1]["summary"]
+    assert first["oracle_calls"] == CAVITY_POINTS
+    warm = list(
+        client.sweep(
+            "cavity", strategy="exhaustive", budget={"max_oracle_calls": 4}
+        )
+    )[-1]["summary"]
+    assert warm["stopped"] == "completed"
+    assert warm["records"] == CAVITY_RECORDS
+    assert warm["failures"] == CAVITY_FAILURES
+    assert warm["oracle_calls"] == 0
 
 
 def test_strategy_with_restricted_axes(client):
