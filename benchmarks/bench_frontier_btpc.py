@@ -4,8 +4,8 @@ A cold ``LinearFrontier`` at 20% of the oracle calls of a cold
 exhaustive sweep must still recover at least 95% of that sweep's Pareto
 front.  The space is btpc's registered space with extra budget
 fractions and on-chip counts, so a 20% budget is a real constraint.  The
-two sweeps take minutes of btpc oracle time, so this contract runs
-nightly; cavity's and wavelet's are tier-1
+contract runs in CI's per-PR ``benchmark-smoke`` job (41 s on a 2-core
+VM); cavity's and wavelet's are tier-1
 (``tests/explore/test_frontier.py``).  The benchmarked kernel is the
 frontier search.
 

@@ -198,8 +198,11 @@ class _Evaluator:
 
     # ------------------------------------------------------------------
     def rates(self, groups: Iterable[str]) -> Tuple[float, float]:
-        reads = sum(self.counts[g].reads for g in groups)
-        writes = sum(self.counts[g].writes for g in groups)
+        # Name order, not set order: the float sums must not follow
+        # string hashing.
+        names = sorted(groups)
+        reads = sum(self.counts[g].reads for g in names)
+        writes = sum(self.counts[g].writes for g in names)
         return reads / self.frame_time_s, writes / self.frame_time_s
 
     def evaluate(self, groups: FrozenSet[str], offchip: bool) -> Optional[MemoryBin]:
@@ -219,11 +222,12 @@ class _Evaluator:
         access count for the power model.
         """
         effective_total = 0.0
+        names = sorted(groups)
         for load in self.nest_loads:
             accesses = 0.0
             streams = 0
             sequential = True
-            for group in groups:
+            for group in names:
                 entry = load.per_group.get(group)
                 if entry is None:
                     continue

@@ -7,10 +7,21 @@ the *conflict cost* — a weighted count of accesses forced into the same
 cycle, which later forces them into different memories or extra ports —
 is minimal.
 
-The scheduler is a list scheduler in topological order (always feasible
-when the budget is at least the critical path) followed by
-iterative-improvement passes that move single occurrences to cheaper
-cycles until a fixpoint.
+Three seeds are refined and the cheapest wins: a cost-greedy list
+schedule in topological order (always feasible when the budget is at
+least the critical path), ASAP and ALAP.  Each goes through
+iterative-improvement passes (single-occurrence moves and whole-chain
+re-placement of a site's occurrences, to a fixpoint), a port-cap repair
+that pushes successors right when an offender's window is closed, and
+another improvement round.
+
+The search runs on an integer-indexed kernel built once per
+:func:`balance` call: occurrence ids, predecessor and successor index
+lists, a table of pair costs (``None`` for mutually exclusive pairs), a
+same-group co-fire table and int lists of each cycle's residents.  The
+label-keyed version it replaced is kept in the tests
+(``tests/dtse/scbd_reference.py``), which check that both return the
+same schedules.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ PORT_VIOLATION_PENALTY = 1e9
 #: sweep that moves nothing ends the search earlier.
 IMPROVEMENT_PASSES = 5
 
-#: Offender moves :func:`_repair` tries before it gives up.
+#: Offender moves the port-cap repair tries before it gives up.
 MAX_REPAIR_MOVES = 400
 
 
@@ -141,223 +152,308 @@ def _violation_cost(members: List[Occurrence], cap_fn: PortCapFn) -> float:
     return cost
 
 
-def _placement_cost(
-    occurrence: Occurrence,
-    cycle: int,
-    by_cycle: Dict[int, List[Occurrence]],
-    weight_fn: WeightFn,
-    cap_fn: PortCapFn,
-) -> float:
-    """Conflict cost added by placing ``occurrence`` into ``cycle``."""
-    cost = 0.0
-    members = by_cycle.get(cycle, [])
-    for other in members:  # pairs with current residents
-        if are_exclusive(
-            occurrence.exclusive_class or None, other.exclusive_class or None
-        ):
-            continue
-        a, b = sorted((occurrence.group, other.group))
-        cost += occurrence.expected * other.expected * weight_fn(a, b)
-    demand = _cofire_count(occurrence, members)
-    if demand > cap_fn(occurrence.group):
-        cost += PORT_VIOLATION_PENALTY
-    return cost
+class _Kernel:
+    """One body's occurrences as integers, for one :func:`balance` call.
 
+    Occurrence ``i`` is ``graph.occurrences[i]``.  Exclusivity, group
+    weights and port caps are resolved once per pair or occurrence
+    instead of once per candidate cycle, and each cycle's residents are
+    an int list that sees the same appends and removes, in the same
+    order, as the search's moves: the placement cost sums its float
+    terms in that order.
+    """
 
-def _seed_greedy(
-    graph: BodyFlowGraph,
-    budget: int,
-    weight_fn: WeightFn,
-    cap_fn: PortCapFn,
-) -> Dict[str, int]:
-    """List schedule in topological order, cheapest cycle per node."""
-    assignment: Dict[str, int] = {}
-    by_cycle: Dict[int, List[Occurrence]] = {}
-    for occurrence in graph.topological_order():
+    def __init__(
+        self,
+        graph: BodyFlowGraph,
+        budget: int,
+        weight_fn: WeightFn,
+        cap_fn: PortCapFn,
+    ) -> None:
+        occurrences = graph.occurrences
+        index = {occ.label: i for i, occ in enumerate(occurrences)}
+        self.budget = budget
+        self.labels = [occ.label for occ in occurrences]
+        self.preds = [[index[s] for s in graph.preds[label]] for label in self.labels]
+        # Successors keep the graph's iteration order: push_right visits
+        # them in it.
+        self.succs = [[index[t] for t in graph.succs[label]] for label in self.labels]
+        self.topological = [index[occ.label] for occ in graph.topological_order()]
+        self.alap = [graph.alap(label, budget) for label in self.labels]
+        self.caps = [cap_fn(occ.group) for occ in occurrences]
+
+        # Sites of two or more occurrences, in first-occurrence order,
+        # with the dependences that leave the chain.
+        sites: Dict[str, List[int]] = {}
+        for i, occ in enumerate(occurrences):
+            sites.setdefault(occ.site, []).append(i)
+        self.chains = [chain for chain in sites.values() if len(chain) >= 2]
+        site = [occ.site for occ in occurrences]
+        self.outer_preds = [
+            [p for p in self.preds[i] if site[p] != site[i]]
+            for i in range(len(occurrences))
+        ]
+        self.outer_succs = [
+            [s for s in self.succs[i] if site[s] != site[i]]
+            for i in range(len(occurrences))
+        ]
+
+        # pair_terms[i][j]: the cost of j's residence in i's cycle, or
+        # None when the two never fire together; cofire[i][j]: 1 when j
+        # adds to the port demand of i's group.
+        tags = sorted({occ.exclusive_class for occ in occurrences})
+        tag_of = [tags.index(occ.exclusive_class) for occ in occurrences]
+        exclusive = [[are_exclusive(a or None, b or None) for b in tags] for a in tags]
+        names = sorted({occ.group for occ in occurrences})
+        group_of = [names.index(occ.group) for occ in occurrences]
+        weights = [[weight_fn(*sorted((a, b))) for b in names] for a in names]
+        expected = [occ.expected for occ in occurrences]
+        everyone = range(len(occurrences))
+        self.pair_terms: List[List[Optional[float]]] = []
+        self.cofire: List[List[int]] = []
+        for i in everyone:
+            excluded = exclusive[tag_of[i]]
+            row_weights = weights[group_of[i]]
+            e_i = expected[i]
+            terms: List[Optional[float]] = [
+                None
+                if excluded[tag_of[j]] or j == i
+                else e_i * expected[j] * row_weights[group_of[j]]
+                for j in everyone
+            ]
+            self.pair_terms.append(terms)
+            self.cofire.append(
+                [
+                    int(terms[j] is not None and group_of[j] == group_of[i])
+                    for j in everyone
+                ]
+            )
+
+    # ------------------------------------------------------------------
+    def residents(self, cycles: List[int]) -> List[List[int]]:
+        """Occurrences per cycle, each list in occurrence order."""
+        by_cycle: List[List[int]] = [[] for _ in range(self.budget + 1)]
+        for i, cycle in enumerate(cycles):
+            by_cycle[cycle].append(i)
+        return by_cycle
+
+    def placement_cost(self, i: int, members: List[int]) -> float:
+        """Conflict cost added by placing ``i`` among ``members``."""
+        terms = self.pair_terms[i]
+        cofire = self.cofire[i]
+        cost = 0.0
+        demand = 1
+        for j in members:
+            term = terms[j]
+            if term is not None:
+                cost += term
+                demand += cofire[j]
+        if demand > self.caps[i]:
+            cost += PORT_VIOLATION_PENALTY
+        return cost
+
+    def demand(self, i: int, members: List[int]) -> int:
+        """Same-group accesses of ``members`` that co-fire with ``i``, plus i."""
+        cofire = self.cofire[i]
+        count = 1
+        for j in members:
+            count += cofire[j]
+        return count
+
+    def window(self, i: int, cycles: List[int]) -> Tuple[int, int]:
+        """The cycles ``i`` may move to with its neighbours fixed."""
         earliest = 1
-        for source in graph.preds[occurrence.label]:
-            earliest = max(earliest, assignment[source] + 1)
-        latest = graph.alap(occurrence.label, budget)
-        best_cycle = earliest
-        best_cost = None
-        for cycle in range(earliest, latest + 1):
-            cost = _placement_cost(occurrence, cycle, by_cycle, weight_fn, cap_fn)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_cycle = cycle
-                if cost == 0.0:
-                    break
-        assignment[occurrence.label] = best_cycle
-        by_cycle.setdefault(best_cycle, []).append(occurrence)
-    return assignment
-
-def _seed_asap(graph: BodyFlowGraph) -> Dict[str, int]:
-    """Everything as early as dependences allow (dense left packing).
-
-    Leaves the tail of the budget empty so the improvement passes have
-    room to spread the long walks — the cost-greedy seed tends to
-    starve them instead.
-    """
-    return {occ.label: graph.asap(occ.label) for occ in graph.occurrences}
-
-def _seed_alap(graph: BodyFlowGraph, budget: int) -> Dict[str, int]:
-    """Everything as late as dependences allow.
-
-    Chains of different lengths end together but *start* staggered, so
-    wide fan-ins (stencils feeding one consumer) spread across cycles
-    instead of jamming into cycle one.
-    """
-    return {
-        occ.label: graph.alap(occ.label, budget) for occ in graph.occurrences
-    }
-
-def _improve(
-    graph: BodyFlowGraph,
-    budget: int,
-    assignment: Dict[str, int],
-    weight_fn: WeightFn,
-    cap_fn: PortCapFn,
-) -> Dict[str, int]:
-    """Occurrence moves plus whole-chain re-placement to a fixpoint."""
-    by_cycle: Dict[int, List[Occurrence]] = {}
-    for occurrence in graph.occurrences:
-        by_cycle.setdefault(assignment[occurrence.label], []).append(occurrence)
-
-    # Sinks first: tail occurrences move right into the slack before
-    # their predecessors try to, unrolling ASAP-packed jams.
-    order = list(reversed(graph.topological_order()))
-    for _ in range(IMPROVEMENT_PASSES):
-        improved = False
-        for occurrence in order:
-            label = occurrence.label
-            current = assignment[label]
-            earliest = 1
-            for source in graph.preds[label]:
-                earliest = max(earliest, assignment[source] + 1)
-            latest = budget
-            for target in graph.succs[label]:
-                latest = min(latest, assignment[target] - 1)
-            by_cycle[current].remove(occurrence)
-            here = _placement_cost(occurrence, current, by_cycle, weight_fn, cap_fn)
-            best_cycle, best_cost = current, here
-            for cycle in range(earliest, latest + 1):
-                if cycle == current:
-                    continue
-                cost = _placement_cost(
-                    occurrence, cycle, by_cycle, weight_fn, cap_fn
-                )
-                if cost < best_cost - 1e-12:
-                    best_cost = cost
-                    best_cycle = cycle
-            assignment[label] = best_cycle
-            by_cycle.setdefault(best_cycle, []).append(occurrence)
-            if best_cycle != current:
-                improved = True
-        for labels in _site_chains(graph).values():
-            if len(labels) < 2:
-                continue
-            if _replace_chain(
-                graph, budget, labels, assignment, by_cycle, weight_fn, cap_fn
-            ):
-                improved = True
-        if not improved:
-            break
-    return assignment
-
-def _find_violation(
-    by_cycle: Dict[int, List[Occurrence]], cap_fn: PortCapFn
-) -> Optional[Occurrence]:
-    """An occurrence exceeding its group's port cap, or None."""
-    for members in by_cycle.values():
-        for index, occurrence in enumerate(members):
-            others = members[:index] + members[index + 1 :]
-            if _cofire_count(occurrence, others) > cap_fn(occurrence.group):
-                return occurrence
-    return None
-
-
-def _repair(
-    graph: BodyFlowGraph,
-    budget: int,
-    assignment: Dict[str, int],
-    weight_fn: WeightFn,
-    cap_fn: PortCapFn,
-) -> None:
-    """Force port-cap violations out by moving offenders, pushing their
-    successors right when the dependence window is closed.
-
-    Local search alone stalls on zero-cost plateaus (a violating access
-    cannot move because its successor chain sits tight behind it, and
-    the successors see no penalty themselves); the push breaks exactly
-    that coupling.
-    """
-    by_cycle: Dict[int, List[Occurrence]] = {}
-    for occurrence in graph.occurrences:
-        by_cycle.setdefault(assignment[occurrence.label], []).append(occurrence)
-
-    def window(label: str):
-        earliest = 1
-        for source in graph.preds[label]:
-            earliest = max(earliest, assignment[source] + 1)
-        latest = budget
-        for target in graph.succs[label]:
-            latest = min(latest, assignment[target] - 1)
+        for p in self.preds[i]:
+            if cycles[p] >= earliest:
+                earliest = cycles[p] + 1
+        latest = self.budget
+        for s in self.succs[i]:
+            if cycles[s] <= latest:
+                latest = cycles[s] - 1
         return earliest, latest
 
-    def place(occurrence: Occurrence, cycle: int) -> None:
-        by_cycle[assignment[occurrence.label]].remove(occurrence)
-        assignment[occurrence.label] = cycle
-        by_cycle.setdefault(cycle, []).append(occurrence)
+    # ------------------------------------------------------------------
+    def seed_greedy(self) -> List[int]:
+        """List schedule in topological order, cheapest cycle per node."""
+        cycles = [0] * len(self.labels)
+        by_cycle: List[List[int]] = [[] for _ in range(self.budget + 1)]
+        for i in self.topological:
+            earliest = 1
+            for p in self.preds[i]:
+                if cycles[p] >= earliest:
+                    earliest = cycles[p] + 1
+            best_cycle = earliest
+            best_cost = None
+            for cycle in range(earliest, self.alap[i] + 1):
+                cost = self.placement_cost(i, by_cycle[cycle])
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best_cycle = cycle
+                    if cost == 0.0:
+                        break
+            cycles[i] = best_cycle
+            by_cycle[best_cycle].append(i)
+        return cycles
 
-    def violation_free(occurrence: Occurrence, cycle: int) -> bool:
-        members = by_cycle.get(cycle, [])
-        if _cofire_count(occurrence, members) > cap_fn(occurrence.group):
-            return False
-        # The residents must stay legal too (the newcomer may complete
-        # a clique among them only via itself, checked above).
-        return True
+    def improve(self, cycles: List[int]) -> None:
+        """Occurrence moves plus whole-chain re-placement to a fixpoint."""
+        by_cycle = self.residents(cycles)
+        # Sinks first: tail occurrences move right into the slack before
+        # their predecessors try to, unrolling ASAP-packed jams.
+        order = self.topological[::-1]
+        for _ in range(IMPROVEMENT_PASSES):
+            improved = False
+            for i in order:
+                current = cycles[i]
+                earliest, latest = self.window(i, cycles)
+                by_cycle[current].remove(i)
+                best_cycle = current
+                best_cost = self.placement_cost(i, by_cycle[current])
+                for cycle in range(earliest, latest + 1):
+                    if cycle == current:
+                        continue
+                    cost = self.placement_cost(i, by_cycle[cycle])
+                    if cost < best_cost - 1e-12:
+                        best_cost = cost
+                        best_cycle = cycle
+                cycles[i] = best_cycle
+                by_cycle[best_cycle].append(i)
+                if best_cycle != current:
+                    improved = True
+            for chain in self.chains:
+                if self.replace_chain(chain, cycles, by_cycle):
+                    improved = True
+            if not improved:
+                break
 
-    def push_right(occurrence: Occurrence, depth: int) -> bool:
-        """Move ``occurrence`` one cycle later, recursively shoving its
-        successors when they block."""
-        if depth <= 0:
-            return False
-        target_cycle = assignment[occurrence.label] + 1
-        if target_cycle > budget:
-            return False
-        for succ_label in graph.succs[occurrence.label]:
-            if assignment[succ_label] <= target_cycle:
-                successor = graph.occurrence(succ_label)
-                if not push_right(successor, depth - 1):
+    def replace_chain(
+        self, chain: List[int], cycles: List[int], by_cycle: List[List[int]]
+    ) -> bool:
+        """Remove one site's whole chain and re-insert it greedily.
+
+        Returns True (and keeps the new placement) only when the total
+        cost strictly improved; otherwise restores the original cycles.
+        """
+        original = [cycles[i] for i in chain]
+        before = 0.0
+        for i in chain:
+            members = by_cycle[cycles[i]]
+            members.remove(i)
+            before += self.placement_cost(i, members)
+            members.append(i)
+        for i in chain:
+            by_cycle[cycles[i]].remove(i)
+
+        after = 0.0
+        previous = 0
+        placed = len(chain)
+        last = self.budget - len(chain) + 1
+        for index, i in enumerate(chain):
+            earliest = previous + 1
+            for p in self.outer_preds[i]:
+                if cycles[p] >= earliest:
+                    earliest = cycles[p] + 1
+            latest = last + index
+            for s in self.outer_succs[i]:
+                if cycles[s] <= latest:
+                    latest = cycles[s] - 1
+            if earliest > latest:
+                placed = index
+                break
+            best_cycle, best_cost = earliest, None
+            for cycle in range(earliest, latest + 1):
+                cost = self.placement_cost(i, by_cycle[cycle])
+                if best_cost is None or cost < best_cost - 1e-12:
+                    best_cost = cost
+                    best_cycle = cycle
+                    if cost == 0.0:
+                        break
+            cycles[i] = best_cycle
+            by_cycle[best_cycle].append(i)
+            after += best_cost
+            previous = best_cycle
+
+        if placed == len(chain) and after < before - 1e-9:
+            return True
+        # Roll back: the re-placed part leaves, then the chain returns in
+        # order to its original cycles.
+        for i in chain[:placed]:
+            by_cycle[cycles[i]].remove(i)
+        for i, cycle in zip(chain, original):
+            cycles[i] = cycle
+            by_cycle[cycle].append(i)
+        return False
+
+    def repair(self, cycles: List[int]) -> None:
+        """Force port-cap violations out by moving offenders, pushing
+        their successors right when the dependence window is closed.
+
+        Local search alone stalls on zero-cost plateaus (a violating
+        access cannot move because its successor chain sits tight behind
+        it, and the successors see no penalty themselves); the push
+        breaks exactly that coupling.
+        """
+        budget = self.budget
+        by_cycle = self.residents(cycles)
+        # The offender scan visits cycles in the order they first held
+        # an occurrence.
+        scan = list(dict.fromkeys(cycles))
+        scanned = set(scan)
+
+        def place(i: int, cycle: int) -> None:
+            by_cycle[cycles[i]].remove(i)
+            cycles[i] = cycle
+            by_cycle[cycle].append(i)
+            if cycle not in scanned:
+                scanned.add(cycle)
+                scan.append(cycle)
+
+        def push_right(i: int, depth: int) -> bool:
+            """Move ``i`` one cycle later, recursively shoving its
+            successors when they block."""
+            if depth <= 0:
+                return False
+            target = cycles[i] + 1
+            if target > budget:
+                return False
+            for s in self.succs[i]:
+                if cycles[s] <= target and not push_right(s, depth - 1):
                     return False
-        place(occurrence, target_cycle)
-        return True
+            place(i, target)
+            return True
 
-    for _ in range(MAX_REPAIR_MOVES):
-        offender = _find_violation(by_cycle, cap_fn)
-        if offender is None:
-            return
-        earliest, latest = window(offender.label)
-        moved = False
-        # Cheapest violation-free cycle in the open window.
-        best_cycle, best_cost = None, None
-        current = assignment[offender.label]
-        by_cycle[current].remove(offender)
-        for cycle in range(earliest, latest + 1):
-            if cycle == current or not violation_free(offender, cycle):
-                continue
-            cost = _placement_cost(offender, cycle, by_cycle, weight_fn, cap_fn)
-            if best_cost is None or cost < best_cost:
-                best_cost, best_cycle = cost, cycle
-        by_cycle[current].append(offender)
-        if best_cycle is not None:
-            place(offender, best_cycle)
-            moved = True
-        else:
-            # Window closed: shove the successor chain right to open it.
-            moved = push_right(offender, depth=24)
-        if not moved:
-            return  # give up; the violation stands (cost stays penalized)
+        def find_violation() -> Optional[int]:
+            for cycle in scan:
+                members = by_cycle[cycle]
+                for i in members:
+                    if self.demand(i, members) > self.caps[i]:
+                        return i
+            return None
+
+        for _ in range(MAX_REPAIR_MOVES):
+            offender = find_violation()
+            if offender is None:
+                return
+            earliest, latest = self.window(offender, cycles)
+            # Cheapest violation-free cycle in the open window.
+            best_cycle, best_cost = None, None
+            current = cycles[offender]
+            by_cycle[current].remove(offender)
+            cap = self.caps[offender]
+            for cycle in range(earliest, latest + 1):
+                members = by_cycle[cycle]
+                if cycle == current or self.demand(offender, members) > cap:
+                    continue
+                cost = self.placement_cost(offender, members)
+                if best_cost is None or cost < best_cost:
+                    best_cost, best_cycle = cost, cycle
+            by_cycle[current].append(offender)
+            if best_cycle is not None:
+                place(offender, best_cycle)
+            elif not push_right(offender, depth=24):
+                # Window closed and nothing yields: the violation stands
+                # (its cost stays penalized).
+                return
 
 
 def balance(
@@ -368,21 +464,33 @@ def balance(
 ) -> BodySchedule:
     """Schedule one body into ``budget`` cycles minimizing conflict cost.
 
-    Two seeds (cost-greedy and ASAP) are refined by occurrence-level and
-    chain-level local search; the cheaper result wins.
+    Three seeds (cost-greedy, ASAP and ALAP) are refined by
+    occurrence-level and chain-level local search, a port-cap repair and
+    another local search; the cheapest result wins (the earliest seed on
+    a tie).
     """
     graph.check_budget(budget)
+    kernel = _Kernel(graph, budget, weight_fn, cap_fn)
+    labels = kernel.labels
+    in_order = range(len(labels))
     best_schedule: Optional[BodySchedule] = None
     best_cost = float("inf")
-    for seed in (
-        _seed_greedy(graph, budget, weight_fn, cap_fn),
-        _seed_asap(graph),
-        _seed_alap(graph, budget),
+    # The assignment's key order is the seed's (topological for the
+    # greedy seed, occurrence order for the others): cost() and the
+    # conflict graph sum their floats in it.
+    for key_order, cycles in (
+        (kernel.topological, kernel.seed_greedy()),
+        (in_order, [graph.asap(label) for label in labels]),
+        (in_order, list(kernel.alap)),
     ):
-        refined = _improve(graph, budget, dict(seed), weight_fn, cap_fn)
-        _repair(graph, budget, refined, weight_fn, cap_fn)
-        refined = _improve(graph, budget, refined, weight_fn, cap_fn)
-        schedule = BodySchedule(graph=graph, budget=budget, assignment=refined)
+        kernel.improve(cycles)
+        kernel.repair(cycles)
+        kernel.improve(cycles)
+        schedule = BodySchedule(
+            graph=graph,
+            budget=budget,
+            assignment={labels[i]: cycles[i] for i in key_order},
+        )
         cost = schedule.cost(weight_fn, cap_fn)
         if cost < best_cost:
             best_cost = cost
@@ -390,84 +498,3 @@ def balance(
     assert best_schedule is not None
     best_schedule.verify()
     return best_schedule
-
-
-def _site_chains(graph: BodyFlowGraph) -> Dict[str, List[str]]:
-    """Occurrence labels per site, in chain order."""
-    chains: Dict[str, List[str]] = {}
-    for occurrence in graph.occurrences:
-        chains.setdefault(occurrence.site, []).append(occurrence.label)
-    return chains
-
-
-def _replace_chain(
-    graph: BodyFlowGraph,
-    budget: int,
-    labels: List[str],
-    assignment: Dict[str, int],
-    by_cycle: Dict[int, List[Occurrence]],
-    weight_fn: WeightFn,
-    cap_fn: PortCapFn,
-) -> bool:
-    """Remove one site's whole chain and re-insert it greedily.
-
-    Returns True (and keeps the new placement) only when the total cost
-    strictly improved; otherwise restores the original cycles.
-    """
-    occurrences = [graph.occurrence(label) for label in labels]
-    original = {label: assignment[label] for label in labels}
-    chain_set = set(labels)
-
-    def placement_sum() -> float:
-        total = 0.0
-        for occurrence in occurrences:
-            cycle = assignment[occurrence.label]
-            by_cycle[cycle].remove(occurrence)
-            total += _placement_cost(occurrence, cycle, by_cycle, weight_fn, cap_fn)
-            by_cycle[cycle].append(occurrence)
-        return total
-
-    before = placement_sum()
-    for occurrence in occurrences:
-        by_cycle[assignment[occurrence.label]].remove(occurrence)
-
-    after = 0.0
-    previous = 0
-    feasible = True
-    for index, occurrence in enumerate(occurrences):
-        earliest = previous + 1
-        for source in graph.preds[occurrence.label]:
-            if source not in chain_set:
-                earliest = max(earliest, assignment[source] + 1)
-        latest = budget - (len(occurrences) - index - 1)
-        for target in graph.succs[occurrence.label]:
-            if target not in chain_set:
-                latest = min(latest, assignment[target] - 1)
-        if earliest > latest:
-            feasible = False
-            break
-        best_cycle, best_cost = earliest, None
-        for cycle in range(earliest, latest + 1):
-            cost = _placement_cost(occurrence, cycle, by_cycle, weight_fn, cap_fn)
-            if best_cost is None or cost < best_cost - 1e-12:
-                best_cost = cost
-                best_cycle = cycle
-                if cost == 0.0:
-                    break
-        assignment[occurrence.label] = best_cycle
-        by_cycle.setdefault(best_cycle, []).append(occurrence)
-        after += best_cost or 0.0
-        previous = best_cycle
-
-    if feasible and after < before - 1e-9:
-        return True
-    # Roll back to the original placement.
-    for occurrence in occurrences:
-        current = assignment[occurrence.label]
-        if occurrence in by_cycle.get(current, []):
-            by_cycle[current].remove(occurrence)
-    for occurrence in occurrences:
-        cycle = original[occurrence.label]
-        assignment[occurrence.label] = cycle
-        by_cycle.setdefault(cycle, []).append(occurrence)
-    return False

@@ -54,14 +54,6 @@ class ConcurrencySlot:
     #: (group, exclusive_class) per occurrence scheduled in this slot.
     entries: Tuple[Tuple[str, str], ...]
 
-    def demand_for(self, groups: Iterable[str]) -> int:
-        """Simultaneous-port demand of a memory holding ``groups``."""
-        members = set(groups)
-        tags = [tag for group, tag in self.entries if group in members]
-        if len(tags) <= 1:
-            return len(tags)
-        return max_cofire(tags)
-
 
 class ConflictGraph:
     """Weighted conflict graph over basic groups."""
@@ -74,6 +66,10 @@ class ConflictGraph:
         #: (a, b) with a <= b -> accumulated expected co-access traffic.
         self.edges: Dict[Tuple[str, str], float] = dict(edges)
         self.slots: Tuple[ConcurrencySlot, ...] = tuple(slots)
+        # The port-demand query's state: each distinct slot-entry tuple
+        # once, and max_cofire per tag tuple it has met.
+        self._entries = tuple(dict.fromkeys(slot.entries for slot in self.slots))
+        self._cofire: Dict[Tuple[str, ...], int] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -125,11 +121,24 @@ class ConflictGraph:
         return self.ports_for((group,))
 
     def ports_for(self, groups: Iterable[str]) -> int:
-        """Ports a memory holding all of ``groups`` needs."""
-        members = tuple(groups)
+        """Ports a memory holding all of ``groups`` needs.
+
+        The peak, over slots, of the largest co-firing subset of the
+        slot's accesses to ``groups`` (at least 1).  A slot with no more
+        such accesses than the peak so far cannot raise it.
+        """
+        members = set(groups)
         peak = 1
-        for slot in self.slots:
-            peak = max(peak, slot.demand_for(members))
+        for entries in self._entries:
+            if len(entries) <= peak:
+                continue
+            tags = tuple(tag for group, tag in entries if group in members)
+            if len(tags) <= peak:
+                continue
+            demand = self._cofire.get(tags)
+            if demand is None:
+                demand = self._cofire[tags] = max_cofire(tags)
+            peak = max(peak, demand)
         return peak
 
     def total_weight(self) -> float:

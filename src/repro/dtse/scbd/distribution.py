@@ -15,10 +15,11 @@ global cycle spent, until the budget is exhausted or no body improves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ...ir.program import Program
 from .balancing import (
+    PORT_VIOLATION_PENALTY,
     BodySchedule,
     PortCapFn,
     WeightFn,
@@ -96,11 +97,21 @@ def distribute(
     }
     costs = {name: schedules[name].cost(weight_fn, cap_fn) for name in graphs}
 
+    # Each body's schedule at one more cycle, and its cost.  balance is
+    # deterministic, so a candidate holds until its body's budget moves:
+    # every (body, budget) pair is balanced at most once per call.
+    candidates: Dict[str, Tuple[BodySchedule, float]] = {}
+
+    def candidate(name: str) -> Tuple[BodySchedule, float]:
+        held = candidates.get(name)
+        if held is None or held[0].budget != budgets[name] + 1:
+            schedule = balance(graphs[name], budgets[name] + 1, weight_fn, cap_fn)
+            held = candidates[name] = (schedule, schedule.cost(weight_fn, cap_fn))
+        return held
+
     # Phase 1 — feasibility: clear port-cap violations everywhere before
     # optimizing anything, visiting the cheapest (fewest-iterations)
     # bodies first so no body starves the others of budget.
-    from .balancing import PORT_VIOLATION_PENALTY
-
     progress = True
     while progress:
         progress = False
@@ -115,11 +126,11 @@ def distribute(
                 continue
             if graph.iterations > spare:
                 continue
-            candidate = balance(graph, budgets[name] + 1, weight_fn, cap_fn)
-            if candidate.cost(weight_fn, cap_fn) < costs[name] - 1e-9:
+            schedule, cost = candidate(name)
+            if cost < costs[name] - 1e-9:
                 budgets[name] += 1
-                schedules[name] = candidate
-                costs[name] = candidate.cost(weight_fn, cap_fn)
+                schedules[name] = schedule
+                costs[name] = cost
                 used += graph.iterations
                 progress = True
                 break
@@ -129,26 +140,20 @@ def distribute(
     while True:
         best_name: Optional[str] = None
         best_gain = 0.0
-        best_schedule: Optional[BodySchedule] = None
         spare = cycle_budget - used
         for name, graph in graphs.items():
             if budgets[name] >= graph.sequential_length:
                 continue  # already conflict-free
             if graph.iterations > spare:
                 continue  # one more body cycle does not fit the budget
-            candidate = balance(graph, budgets[name] + 1, weight_fn, cap_fn)
-            gain = (
-                costs[name] - candidate.cost(weight_fn, cap_fn)
-            ) / graph.iterations
+            gain = (costs[name] - candidate(name)[1]) / graph.iterations
             if gain > best_gain + 1e-12:
                 best_gain = gain
                 best_name = name
-                best_schedule = candidate
-        if best_name is None or best_schedule is None:
+        if best_name is None:
             break
         budgets[best_name] += 1
-        schedules[best_name] = best_schedule
-        costs[best_name] = best_schedule.cost(weight_fn, cap_fn)
+        schedules[best_name], costs[best_name] = candidates[best_name]
         used += graphs[best_name].iterations
 
     return BudgetDistribution(

@@ -1,6 +1,13 @@
 """Memory allocation and signal-to-memory assignment."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.dtse.allocation.assign import (
     AssignmentError,
@@ -144,3 +151,44 @@ def test_report_memory_kinds(btpc_program, constraints):
     assert report.total_power_mw == pytest.approx(
         report.onchip_power_mw + report.offchip_power_mw
     )
+
+
+_BUDGET_ROW_SCRIPT = """
+import json
+from repro.api import BtpcStudy, Explorer
+
+study = BtpcStudy()
+point = next(
+    point
+    for step in study.greedy_steps()
+    for point in step.points
+    if point.display_label == "85% budget"
+)
+report = Explorer(study.space).evaluate(point).report
+print(json.dumps(report.to_dict(), sort_keys=True))
+"""
+
+
+def test_report_does_not_depend_on_hash_seed():
+    """The allocator sums per-group floats in name order, not set order.
+
+    Iterating a frozenset of group names made the last bit of btpc's
+    "85% budget" row (access rates and powers) follow string hashing.
+    """
+    src = pathlib.Path(repro.__file__).parents[1]
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = seed
+        runs.append(
+            subprocess.Popen(
+                [sys.executable, "-c", _BUDGET_ROW_SCRIPT],
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        )
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0] == outputs[1]
