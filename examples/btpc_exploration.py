@@ -6,7 +6,7 @@ memory hierarchy decision, storage cycle budget distribution and memory
 allocation exploration — with accurate memory-organization feedback at
 every step, memoized so nothing is evaluated twice.
 
-Run:  python examples/btpc_exploration.py       (about ten seconds)
+Run:  python examples/btpc_exploration.py       (about five seconds)
 """
 
 import time

@@ -10,7 +10,7 @@ the paper's "Estimated A/T/P to guide decision" box (Figure 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Dict, FrozenSet, Optional
 
 from ..costs.report import CostReport
 from ..ir.program import Program
@@ -22,7 +22,7 @@ from .allocation.assign import (
     build_nest_loads,
 )
 from .scbd.conflict import ConflictGraph
-from .scbd.distribution import BudgetDistribution, distribute
+from .scbd.distribution import BodyTable, BudgetDistribution, distribute
 
 #: Relative conflict penalties used to steer flow-graph balancing: a
 #: conflict between two off-chip groups forces DRAM interleaving (very
@@ -53,6 +53,10 @@ class PmmResult:
 #: Off-chip memories can interleave up to this many DRAM banks.
 MAX_OFFCHIP_BANKS = 4
 
+#: One :class:`BodyTable` per off-chip group set, shared by the runs of
+#: one oracle dispatch.
+BodyTables = Dict[FrozenSet[str], BodyTable]
+
 
 @dataclass(frozen=True)
 class PmmRequest:
@@ -76,7 +80,7 @@ class PmmRequest:
     def relabeled(self, label: str) -> "PmmRequest":
         return replace(self, label=label)
 
-    def run(self) -> PmmResult:
+    def run(self, tables: Optional[BodyTables] = None) -> PmmResult:
         return run_pmm(
             self.program,
             self.cycle_budget,
@@ -86,6 +90,7 @@ class PmmRequest:
             area_weight=self.area_weight,
             label=self.label,
             seed=self.seed,
+            tables=tables,
         )
 
 
@@ -94,11 +99,16 @@ def run_pmm_request(request: PmmRequest) -> PmmResult:
     return request.run()
 
 
+def offchip_names(program: Program, library: MemoryLibrary) -> FrozenSet[str]:
+    """The names of the program's groups that will live off-chip."""
+    return frozenset(
+        group.name for group in program.groups if library.is_offchip(group)
+    )
+
+
 def make_weight_fn(program: Program, library: MemoryLibrary):
     """Balancing weights that know which groups will live off-chip."""
-    offchip = {
-        group.name for group in program.groups if library.is_offchip(group)
-    }
+    offchip = offchip_names(program, library)
 
     def weight(group_a: str, group_b: str) -> float:
         factor = 1.0
@@ -116,9 +126,7 @@ def make_weight_fn(program: Program, library: MemoryLibrary):
 
 def make_cap_fn(program: Program, library: MemoryLibrary):
     """Port caps per group: 2 for on-chip macros, 4 DRAM banks off-chip."""
-    offchip = {
-        group.name for group in program.groups if library.is_offchip(group)
-    }
+    offchip = offchip_names(program, library)
 
     def cap(group: str) -> int:
         return MAX_OFFCHIP_BANKS if group in offchip else 2
@@ -135,6 +143,7 @@ def run_pmm(
     area_weight: float = DEFAULT_AREA_WEIGHT,
     label: str = "",
     seed: int = 0,
+    tables: Optional[BodyTables] = None,
 ) -> PmmResult:
     """Run SCBD + allocation/assignment and return the cost feedback.
 
@@ -150,12 +159,20 @@ def run_pmm(
     n_onchip:
         Fix the number of on-chip memories (Table 4 axis); ``None``
         lets the allocator pick the cheapest count.
+    tables:
+        Body tables shared with other evaluations, one per off-chip
+        group set: the weight and cap functions read nothing else.  The
+        run picks (or adds) the one for its off-chip set.  ``None``
+        gives the run a private table.
     """
     if library is None:
         library = default_library()
     weight_fn = make_weight_fn(program, library)
     cap_fn = make_cap_fn(program, library)
-    distribution = distribute(program, cycle_budget, weight_fn, cap_fn)
+    table = None
+    if tables is not None:
+        table = tables.setdefault(offchip_names(program, library), BodyTable())
+    distribution = distribute(program, cycle_budget, weight_fn, cap_fn, table=table)
     allocation = assign_memories(
         program=program,
         conflicts=distribution.conflict_graph,

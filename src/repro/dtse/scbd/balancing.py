@@ -88,18 +88,28 @@ class BodySchedule:
         (the group needs a second port).  The weight is the expected
         number of co-occurrences over the whole nest.
         """
-        for members in self.cycles().values():
+        return self._pairs(self.cycles(), {})
+
+    def _pairs(
+        self,
+        by_cycle: Dict[int, List[Occurrence]],
+        exclusive: Dict[Tuple[str, str], bool],
+    ) -> Iterator[Tuple[str, str, float]]:
+        iterations = self.iterations
+        for members in by_cycle.values():
             for i, first in enumerate(members):
+                group = first.group
+                tag = first.exclusive_class
+                expected = first.expected
                 for second in members[i + 1 :]:
-                    if are_exclusive(
-                        first.exclusive_class or None,
-                        second.exclusive_class or None,
-                    ):
+                    if _exclusive(tag, second.exclusive_class, exclusive):
                         continue  # never simultaneous: no conflict
-                    a, b = sorted((first.group, second.group))
-                    yield a, b, (
-                        first.expected * second.expected * self.iterations
-                    )
+                    other = second.group
+                    weight = expected * second.expected * iterations
+                    if other < group:
+                        yield other, group, weight
+                    else:
+                        yield group, other, weight
 
     def cost(
         self,
@@ -107,11 +117,14 @@ class BodySchedule:
         cap_fn: PortCapFn = _default_cap,
     ) -> float:
         """Total weighted conflict cost, including port-cap violations."""
+        by_cycle = self.cycles()
+        exclusive: Dict[Tuple[str, str], bool] = {}
         total = sum(
-            weight * weight_fn(a, b) for a, b, weight in self.conflict_pairs()
+            weight * weight_fn(a, b)
+            for a, b, weight in self._pairs(by_cycle, exclusive)
         )
-        for members in self.cycles().values():
-            total += _violation_cost(members, cap_fn)
+        for members in by_cycle.values():
+            total += _violation_cost(members, cap_fn, exclusive)
         return total
 
     def verify(self) -> None:
@@ -126,28 +139,41 @@ class BodySchedule:
                     )
 
 
-def _cofire_count(occurrence: Occurrence, members: List[Occurrence]) -> int:
-    """Same-group accesses that can fire together with ``occurrence``."""
-    count = 1
-    for other in members:
-        if other.group != occurrence.group:
-            continue
-        if are_exclusive(
-            occurrence.exclusive_class or None, other.exclusive_class or None
-        ):
-            continue
-        count += 1
-    return count
+def _exclusive(tag_a: str, tag_b: str, memo: Dict[Tuple[str, str], bool]) -> bool:
+    """:func:`are_exclusive` on two occurrence tags, once per pair per memo.
+
+    An empty tag co-fires with everything, and so does an equal one.
+    """
+    if not tag_a or not tag_b or tag_a == tag_b:
+        return False
+    key = (tag_a, tag_b)
+    exclusive = memo.get(key)
+    if exclusive is None:
+        exclusive = memo[key] = are_exclusive(tag_a, tag_b)
+    return exclusive
 
 
-def _violation_cost(members: List[Occurrence], cap_fn: PortCapFn) -> float:
-    """Penalty for same-cycle, same-group demand beyond the port cap."""
+def _violation_cost(
+    members: List[Occurrence],
+    cap_fn: PortCapFn,
+    exclusive: Dict[Tuple[str, str], bool],
+) -> float:
+    """Penalty for same-cycle, same-group demand beyond the port cap.
+
+    Each access's demand counts itself and the earlier same-group
+    accesses of the cycle that can fire with it.
+    """
     cost = 0.0
     for index, occurrence in enumerate(members):
-        others = members[:index]
-        demand = _cofire_count(occurrence, others)
-        cap = cap_fn(occurrence.group)
-        if demand > cap:
+        group = occurrence.group
+        tag = occurrence.exclusive_class
+        demand = 1
+        for other in members[:index]:
+            if other.group == group and not _exclusive(
+                tag, other.exclusive_class, exclusive
+            ):
+                demand += 1
+        if demand > cap_fn(group):
             cost += PORT_VIOLATION_PENALTY
     return cost
 
@@ -384,6 +410,34 @@ class _Kernel:
             by_cycle[cycle].append(i)
         return False
 
+    def push_right(
+        self,
+        i: int,
+        depth: int,
+        cycles: List[int],
+        place: Callable[[int, int], None],
+    ) -> bool:
+        """Move ``i`` one cycle later, recursively shoving its successors
+        when they block.
+
+        A method, not a closure in :meth:`repair`: a recursive closure
+        refers to itself, and that reference cycle would keep the
+        kernel's tables alive after :func:`balance` returns, until the
+        garbage collector next runs.
+        """
+        if depth <= 0:
+            return False
+        target = cycles[i] + 1
+        if target > self.budget:
+            return False
+        for s in self.succs[i]:
+            if cycles[s] <= target and not self.push_right(
+                s, depth - 1, cycles, place
+            ):
+                return False
+        place(i, target)
+        return True
+
     def repair(self, cycles: List[int]) -> None:
         """Force port-cap violations out by moving offenders, pushing
         their successors right when the dependence window is closed.
@@ -393,7 +447,6 @@ class _Kernel:
         it, and the successors see no penalty themselves); the push
         breaks exactly that coupling.
         """
-        budget = self.budget
         by_cycle = self.residents(cycles)
         # The offender scan visits cycles in the order they first held
         # an occurrence.
@@ -407,20 +460,6 @@ class _Kernel:
             if cycle not in scanned:
                 scanned.add(cycle)
                 scan.append(cycle)
-
-        def push_right(i: int, depth: int) -> bool:
-            """Move ``i`` one cycle later, recursively shoving its
-            successors when they block."""
-            if depth <= 0:
-                return False
-            target = cycles[i] + 1
-            if target > budget:
-                return False
-            for s in self.succs[i]:
-                if cycles[s] <= target and not push_right(s, depth - 1):
-                    return False
-            place(i, target)
-            return True
 
         def find_violation() -> Optional[int]:
             for cycle in scan:
@@ -450,7 +489,7 @@ class _Kernel:
             by_cycle[current].append(offender)
             if best_cycle is not None:
                 place(offender, best_cycle)
-            elif not push_right(offender, depth=24):
+            elif not self.push_right(offender, 24, cycles, place):
                 # Window closed and nothing yields: the violation stands
                 # (its cost stays penalized).
                 return

@@ -10,6 +10,18 @@ i.e. a cheaper conflict graph.
 The distributor starts every body at its critical path and greedily
 gives cycles to the body with the best conflict-cost reduction per
 global cycle spent, until the budget is exhausted or no body improves.
+
+Each body's flow graph and its balanced schedules come from a
+:class:`BodyTable`.  ``balance`` is deterministic, so a table hands out
+the schedule (and cost) it already holds for a body budget instead of
+balancing again: a candidate holds until its body's budget moves, and
+the distributions that share a table share each other's bodies.  A
+table serves one off-chip group set, the only input of the oracle's
+weight and cap functions, and is keyed by the
+:class:`~repro.ir.loops.LoopNest` object, not by nest equality: two
+equal nests built separately can give flow graphs whose successor sets
+iterate in different orders, and the balancer's port-cap repair follows
+that order.  ``distribute`` makes a private table when it is given none.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ...ir.loops import LoopNest
 from ...ir.program import Program
 from .balancing import (
     PORT_VIOLATION_PENALTY,
@@ -70,19 +83,72 @@ class BudgetDistribution:
         return "\n".join(lines)
 
 
+class _Body:
+    """One loop body's flow graph and the schedules balanced for it."""
+
+    __slots__ = ("nest", "graph", "balanced")
+
+    def __init__(self, nest: LoopNest) -> None:
+        #: Held so the nest's id stays its key while the table lives.
+        self.nest = nest
+        self.graph = BodyFlowGraph(nest)
+        #: body budget -> (schedule, cost) under the table's off-chip set.
+        self.balanced: Dict[int, Tuple[BodySchedule, float]] = {}
+
+    def at(
+        self, budget: int, weight_fn: WeightFn, cap_fn: PortCapFn
+    ) -> Tuple[BodySchedule, float]:
+        """The body's schedule at ``budget`` and its cost, balanced once."""
+        held = self.balanced.get(budget)
+        if held is None:
+            schedule = balance(self.graph, budget, weight_fn, cap_fn)
+            held = self.balanced[budget] = (schedule, schedule.cost(weight_fn, cap_fn))
+        return held
+
+
+class BodyTable:
+    """Flow graphs and balanced bodies for one off-chip group set.
+
+    Every :func:`distribute` call given the table reads and fills it, so
+    a (nest, body budget) pair is balanced at most once per table.  The
+    weight and cap functions of those calls must agree, which they do
+    when they depend only on the off-chip group set (as the oracle's
+    do).  Entries are keyed by the nest object's identity and keep the
+    nest alive; the handed-out schedules are shared, not copied.
+    """
+
+    def __init__(self) -> None:
+        self._bodies: Dict[int, _Body] = {}
+
+    def body(self, nest: LoopNest) -> _Body:
+        """The nest's entry, with its flow graph built on first use."""
+        body = self._bodies.get(id(nest))
+        if body is None:
+            body = self._bodies[id(nest)] = _Body(nest)
+        return body
+
+
 def distribute(
     program: Program,
     cycle_budget: float,
     weight_fn: WeightFn = _default_weight,
     cap_fn: PortCapFn = _default_cap,
+    table: Optional[BodyTable] = None,
 ) -> BudgetDistribution:
     """Distribute ``cycle_budget`` over the loop bodies of ``program``.
+
+    ``table`` shares flow graphs and balanced bodies with the other
+    distributions given it (all under the same off-chip group set);
+    without one the call uses a private table.
 
     Raises :class:`InfeasibleBudget` when even critical-path-length
     bodies exceed the budget (the MACP bound; loop transformations are
     then required).
     """
-    graphs = {nest.name: BodyFlowGraph(nest) for nest in program.nests}
+    if table is None:
+        table = BodyTable()
+    bodies = {nest.name: table.body(nest) for nest in program.nests}
+    graphs = {name: body.graph for name, body in bodies.items()}
     budgets = {name: graph.macp for name, graph in graphs.items()}
     used = sum(budgets[name] * graphs[name].iterations for name in graphs)
     if used > cycle_budget:
@@ -91,23 +157,14 @@ def distribute(
             f"{used:,.0f} cycles exceeds budget {cycle_budget:,.0f}"
         )
 
-    schedules = {
-        name: balance(graph, budgets[name], weight_fn, cap_fn)
-        for name, graph in graphs.items()
-    }
-    costs = {name: schedules[name].cost(weight_fn, cap_fn) for name in graphs}
-
-    # Each body's schedule at one more cycle, and its cost.  balance is
-    # deterministic, so a candidate holds until its body's budget moves:
-    # every (body, budget) pair is balanced at most once per call.
-    candidates: Dict[str, Tuple[BodySchedule, float]] = {}
+    schedules: Dict[str, BodySchedule] = {}
+    costs: Dict[str, float] = {}
+    for name, body in bodies.items():
+        schedules[name], costs[name] = body.at(budgets[name], weight_fn, cap_fn)
 
     def candidate(name: str) -> Tuple[BodySchedule, float]:
-        held = candidates.get(name)
-        if held is None or held[0].budget != budgets[name] + 1:
-            schedule = balance(graphs[name], budgets[name] + 1, weight_fn, cap_fn)
-            held = candidates[name] = (schedule, schedule.cost(weight_fn, cap_fn))
-        return held
+        """The body's schedule at one more cycle, and its cost."""
+        return bodies[name].at(budgets[name] + 1, weight_fn, cap_fn)
 
     # Phase 1 — feasibility: clear port-cap violations everywhere before
     # optimizing anything, visiting the cheapest (fewest-iterations)
@@ -152,8 +209,8 @@ def distribute(
                 best_name = name
         if best_name is None:
             break
+        schedules[best_name], costs[best_name] = candidate(best_name)
         budgets[best_name] += 1
-        schedules[best_name], costs[best_name] = candidates[best_name]
         used += graphs[best_name].iterations
 
     return BudgetDistribution(

@@ -26,6 +26,14 @@ counts them, fails on the first error in ``on_error="raise"`` mode and
 stores the batch in one :meth:`EvaluationCache.store_many`.  A batch's
 result therefore depends neither on ``workers`` nor on batch size.
 
+The oracle runs of one dispatch share SCBD work: the whole serial
+batch, or each contiguous pool chunk in its worker, gets one set of
+body tables (:class:`~repro.dtse.scbd.distribution.BodyTable`, one per
+off-chip group set), so neighbouring points that repeat a loop body at
+the same body budget balance it once.  A table lives only as long as
+its dispatch: nothing carries over from one :meth:`Explorer.evaluate_many`
+call to the next.
+
 Search strategies (:mod:`repro.explore.strategies`) sit on top: a
 :class:`SearchDriver` steps one through the budgeted propose/observe
 loop, and :meth:`Explorer.run` runs that loop over
@@ -60,7 +68,7 @@ from typing import (
 
 from ..costs.report import INFEASIBLE_MARKER, CostReport
 from ..dtse.allocation.assign import DEFAULT_AREA_WEIGHT
-from ..dtse.pipeline import PmmRequest
+from ..dtse.pipeline import BodyTables, PmmRequest
 from .cache import REMOTE_SCHEME, CacheBackend, DiskCache, resolve_backend
 from .fingerprint import canonical_value, fingerprint_request
 from .pareto import knee_point, pareto_indices
@@ -664,13 +672,19 @@ class ExplorationError(RuntimeError):
 _Outcome = Tuple[Optional[CostReport], float, Optional[str]]
 
 
-def _evaluate_request(request: PmmRequest) -> _Outcome:
+def _evaluate_request(request: PmmRequest, tables: BodyTables) -> _Outcome:
     start = time.perf_counter()
     try:
-        report = request.run().report
+        report = request.run(tables=tables).report
     except Exception as exc:  # noqa: BLE001 - reported to the caller
         return None, time.perf_counter() - start, f"{type(exc).__name__}: {exc}"
     return report, time.perf_counter() - start, None
+
+
+def _evaluate_chunk(requests: Sequence[PmmRequest]) -> List[_Outcome]:
+    """One pool chunk's outcomes, in order; its runs share body tables."""
+    tables: BodyTables = {}
+    return [_evaluate_request(request, tables) for request in requests]
 
 
 # ----------------------------------------------------------------------
@@ -712,7 +726,9 @@ class Explorer:
 
     :meth:`evaluate_many` keeps no state on the explorer.  Only
     :meth:`run` appends, to :attr:`failures`, the ``(point, error)``
-    pairs its rounds skipped, once per round and point.
+    pairs its rounds skipped, once per round and point.  The oracle runs
+    of one serial batch, or of one pool chunk, share one set of SCBD
+    body tables, dropped when the batch or chunk is done.
     """
 
     #: Fewest misses worth spinning up a cold pool for.
@@ -1003,18 +1019,24 @@ class Explorer:
     ) -> Dict[str, float]:
         """Run the oracle for ``fresh``, pin the outcomes in ``known``.
 
-        Outcomes come from the pool's ``map`` when the pool pays off,
-        else from the builtin ``map`` (also when the pool is lost).  One
-        loop consumes them in point order, counting each as a miss; with
+        Outcomes come from the pool, one contiguous chunk of requests
+        per task, flattened back into point order, when the pool pays
+        off; else from a lazy in-process generator (also when the pool
+        is lost).  The serial batch shares one set of body tables, and
+        each pool chunk one of its own.  One loop consumes the outcomes
+        in point order, counting each as a miss; with
         ``on_error="raise"`` it raises at the first failure and consumes
         nothing after it.  What it consumed is stored in one
         :meth:`EvaluationCache.store_many`, also on a raise or an
         interrupt.  Returns the oracle seconds per computed outcome.
         """
         requests = list(fresh.values())
-        # The builtin map is lazy: each oracle call runs only when the
+        # The generator is lazy: each oracle call runs only when the
         # loop below consumes its outcome.
-        outcomes: Iterable[_Outcome] = map(_evaluate_request, requests)
+        tables: BodyTables = {}
+        outcomes: Iterable[_Outcome] = (
+            _evaluate_request(request, tables) for request in requests
+        )
         # A warm pool costs nothing to reuse; a cold one is only worth
         # spinning up for batches that amortize the fork cost.
         if (
@@ -1026,10 +1048,16 @@ class Explorer:
             # Chunk so each worker gets a handful of round trips, not
             # one IPC exchange per point.
             chunksize = max(1, math.ceil(len(requests) / (self.workers * 4)))
+            chunks = [
+                requests[start : start + chunksize]
+                for start in range(0, len(requests), chunksize)
+            ]
             try:
-                outcomes = list(
-                    pool.map(_evaluate_request, requests, chunksize=chunksize)
-                )
+                outcomes = [
+                    outcome
+                    for chunk in pool.map(_evaluate_chunk, chunks)
+                    for outcome in chunk
+                ]
             except (BrokenProcessPool, RuntimeError) as exc:
                 # BrokenProcessPool: a worker died under the batch.
                 # RuntimeError: recoverable only when the pool was shut

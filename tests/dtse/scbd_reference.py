@@ -3,17 +3,19 @@
 A copy, comments aside, of the body balancer (seeds, local search,
 chain re-placement, port-cap repair and ``balance``), of the eager
 budget distributor that re-balanced every body in every round, and of
-the per-slot port-demand query, as they stood before the fast path.  Only
-tests import it: ``test_scbd_reference.py`` checks that the fast path in
-``repro.dtse.scbd`` returns exactly what this module returns (the same
-assignments in the same key order, the same float costs, the same body
-budgets and conflict edges), because tie-breaking here decides the
-golden files.
+the per-slot port-demand query, as they stood before the fast path, and
+of ``BodySchedule.cost``, ``conflict_pairs`` and the conflict graph's
+edge sums as they stood before exclusivity was resolved once per tag
+pair.  Only tests import it: ``test_scbd_reference.py`` checks that the
+fast path in ``repro.dtse.scbd`` returns exactly what this module
+returns (the same assignments in the same key order, the same float
+costs, the same body budgets and conflict edges), because tie-breaking
+here decides the golden files.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dtse.scbd.balancing import (
     PORT_VIOLATION_PENALTY,
@@ -67,6 +69,15 @@ def schedule_cost(
     for members in schedule_cycles(schedule).values():
         total += _violation_cost(members, cap_fn)
     return total
+
+
+def conflict_edges(schedules: Iterable[BodySchedule]) -> Dict[Tuple[str, str], float]:
+    edges: Dict[Tuple[str, str], float] = {}
+    for schedule in schedules:
+        for a, b, weight in schedule_conflict_pairs(schedule):
+            key = (a, b)
+            edges[key] = edges.get(key, 0.0) + weight
+    return edges
 
 
 # ----------------------------------------------------------------------

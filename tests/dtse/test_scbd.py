@@ -152,36 +152,73 @@ def test_distribute_raises_below_macp():
         distribute(program, 399)
 
 
-@pytest.mark.parametrize(
-    "app, balanced", [("cavity", 444), ("wavelet", 304), ("motion", 36)]
-)
-def test_distribute_balances_each_body_budget_once(app, balanced, monkeypatch):
-    """A body's candidate holds until its budget moves.
-
-    Counted on a cold default sweep: within one distribute call no
-    (nest, body budget) pair is balanced twice (re-balancing every body
-    in every round made 920 calls for cavity and 804 for wavelet).
-    """
-    per_call = []
+def _count_balance(monkeypatch):
+    """Record every balance call as (nest object, off-chip set, budget)."""
+    calls = []
+    current = []
     balance_fn = distribution.balance
     distribute_fn = pipeline.distribute
 
     def counted_balance(graph, budget, *args):
-        per_call[-1].append((graph.nest_name, budget))
+        program, offchip = current[-1]
+        calls.append((program.nest(graph.nest_name), offchip, budget))
         return balance_fn(graph, budget, *args)
 
-    def counted_distribute(*args, **kwargs):
-        per_call.append([])
-        return distribute_fn(*args, **kwargs)
+    def counted_distribute(program, cycle_budget, weight_fn, cap_fn, **kwargs):
+        # The oracle's cap function gives exactly its off-chip groups
+        # the DRAM bank count.
+        offchip = frozenset(
+            group.name
+            for group in program.groups
+            if cap_fn(group.name) == pipeline.MAX_OFFCHIP_BANKS
+        )
+        current.append((program, offchip))
+        return distribute_fn(program, cycle_budget, weight_fn, cap_fn, **kwargs)
 
     monkeypatch.setattr(distribution, "balance", counted_balance)
     monkeypatch.setattr(pipeline, "distribute", counted_distribute)
-    explorer = Explorer.for_app(app, on_error="skip")
-    explorer.evaluate_many(explorer.space.points())
-    assert per_call
-    for pairs in per_call:
-        assert len(set(pairs)) == len(pairs)
-    assert sum(len(pairs) for pairs in per_call) == balanced
+    return calls
+
+
+@pytest.mark.parametrize(
+    "app, balanced", [("cavity", 74), ("wavelet", 60), ("motion", 6)]
+)
+def test_batch_balances_each_body_budget_once(app, balanced, monkeypatch):
+    """The points of one cold batch share their balanced bodies.
+
+    Counted on a cold default sweep as one evaluate_many call: no (nest
+    object, off-chip set, body budget) is balanced twice (each
+    distribute call alone made 444 calls for cavity, 304 for wavelet
+    and 36 for motion).  Nothing carries over to the next batch: a
+    second explorer over the same space, nest objects included, makes
+    as many calls again.
+    """
+    calls = _count_balance(monkeypatch)
+    space = Explorer.for_app(app).space
+    for _ in range(2):
+        explorer = Explorer(space, on_error="skip")
+        explorer.evaluate_many(space.points())
+        keys = {(id(nest), offchip, budget) for nest, offchip, budget in calls}
+        assert len(keys) == len(calls)
+        assert len(calls) == balanced
+        calls.clear()
+
+
+def _reports(records):
+    return [record.report.to_dict() for record in records if record.report is not None]
+
+
+@pytest.mark.parametrize("app", ["cavity", "wavelet", "motion"])
+def test_pooled_batch_matches_serial(app, monkeypatch):
+    """Pool chunks balance with tables of their own; reports do not move."""
+    monkeypatch.setattr(Explorer, "MIN_PARALLEL_BATCH", 2)
+    space = Explorer.for_app(app).space
+    serial = Explorer(space, on_error="skip").evaluate_many(space.points())
+    with Explorer(space, workers=2, on_error="skip") as explorer:
+        pooled = explorer.evaluate_many(space.points())
+        assert explorer._pool is not None
+    assert [record.error for record in pooled] == [record.error for record in serial]
+    assert _reports(pooled) == _reports(serial)
 
 
 def test_macp_report_feasibility(btpc_program, constraints):

@@ -1,24 +1,34 @@
 """The SCBD fast path returns exactly what the reference scheduler returns.
 
 ``scbd_reference`` keeps the label-keyed balancer, the eager budget
-distributor and the per-slot port-demand query that the indexed kernel,
-the lazy candidates and the pruned query replaced.  Equal means equal:
-the same assignment in the same key order (the conflict graph sums its
-floats in it), bit-equal costs and edge weights, the same body budgets,
-slots and port counts, because tie-breaking decides the golden files.
+distributor, the per-slot port-demand query and the per-pair cost that
+the indexed kernel, the body tables, the pruned query and the memoized
+exclusivity replaced.  Equal means equal: the same assignment in the
+same key order (the conflict graph sums its floats in it), bit-equal
+costs and edge weights, the same body budgets, slots and port counts,
+because tie-breaking decides the golden files.  A body table shared by
+a sequence of distributions must change none of them.
 """
 
+import dataclasses
+import pickle
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 import scbd_reference as reference
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import get_app
-from repro.dtse.pipeline import make_cap_fn, make_weight_fn
-from repro.dtse.scbd import BodyFlowGraph, InfeasibleBudget, balance, distribute
+from repro.dtse.pipeline import make_cap_fn, make_weight_fn, run_pmm
+from repro.dtse.scbd import (
+    BodyFlowGraph,
+    ConflictGraph,
+    InfeasibleBudget,
+    balance,
+    distribute,
+)
 from repro.dtse.scbd.balancing import _Kernel
+from repro.dtse.scbd.distribution import BodyTable
 from repro.ir import ProgramBuilder
 from repro.memlib.library import default_library
 
@@ -57,10 +67,33 @@ def drawn_programs(draw):
     return builder.build(), offchip
 
 
+def _placed_library(offchip):
+    """The default library with the drawn groups, and only those, off-chip."""
+    library = default_library()
+
+    def is_offchip(group):
+        return group.name in offchip
+
+    library.is_offchip = is_offchip
+    return library
+
+
 def _cost_fns(program, offchip):
     """Weight and cap functions as the oracle builds them."""
-    library = SimpleNamespace(is_offchip=lambda group: group.name in offchip)
+    library = _placed_library(offchip)
     return make_weight_fn(program, library), make_cap_fn(program, library)
+
+
+def _assert_cost_matches(schedules, weight_fn, cap_fn):
+    """cost() and the conflict graph's edges against the per-pair copy."""
+    for schedule in schedules:
+        where = f"{schedule.nest_name} at {schedule.budget}"
+        assert schedule.cost(weight_fn, cap_fn) == reference.schedule_cost(
+            schedule, weight_fn, cap_fn
+        ), where
+    assert list(ConflictGraph.from_schedules(schedules).edges.items()) == list(
+        reference.conflict_edges(schedules).items()
+    )
 
 
 def _assert_balance_matches(graph, budgets, weight_fn, cap_fn):
@@ -72,6 +105,19 @@ def _assert_balance_matches(graph, budgets, weight_fn, cap_fn):
         assert fast.cost(weight_fn, cap_fn) == reference.schedule_cost(
             slow, weight_fn, cap_fn
         ), where
+        _assert_cost_matches([fast], weight_fn, cap_fn)
+
+
+def _assert_same_distribution(fast, slow):
+    assert list(fast.budgets.items()) == list(slow.budgets.items())
+    for name, schedule in fast.schedules.items():
+        assert list(schedule.assignment.items()) == list(
+            slow.schedules[name].assignment.items()
+        ), name
+    assert list(fast.conflict_graph.edges.items()) == list(
+        slow.conflict_graph.edges.items()
+    )
+    assert fast.conflict_graph.slots == slow.conflict_graph.slots
 
 
 def _assert_distribution_matches(program, cycle_budget, weight_fn, cap_fn):
@@ -82,15 +128,8 @@ def _assert_distribution_matches(program, cycle_budget, weight_fn, cap_fn):
             distribute(program, cycle_budget, weight_fn, cap_fn)
         return None
     fast = distribute(program, cycle_budget, weight_fn, cap_fn)
-    assert list(fast.budgets.items()) == list(slow.budgets.items())
-    for name, schedule in fast.schedules.items():
-        assert list(schedule.assignment.items()) == list(
-            slow.schedules[name].assignment.items()
-        ), name
-    assert list(fast.conflict_graph.edges.items()) == list(
-        slow.conflict_graph.edges.items()
-    )
-    assert fast.conflict_graph.slots == slow.conflict_graph.slots
+    _assert_same_distribution(fast, slow)
+    _assert_cost_matches(list(fast.schedules.values()), weight_fn, cap_fn)
     return fast.conflict_graph
 
 
@@ -138,6 +177,125 @@ def test_distribute_and_ports_match_reference_on_drawn_programs(drawn):
                 assert conflicts.ports_for(subset) == reference.ports_for(
                     conflicts, subset
                 ), subset
+
+
+@st.composite
+def drawn_sequences(draw):
+    """Programs sharing nest objects, each with an off-chip set and a budget.
+
+    Every program takes its nests from one drawn pool, each as the
+    pool's own object, as an equal copy made by a pickle round trip (as
+    a pool worker receives it) or not at all.  The sequence uses at
+    least two off-chip sets; a budget of ``None`` is one cycle below the
+    program's dependence-limited minimum.
+    """
+    pool, _ = draw(drawn_programs())
+    copies = pickle.loads(pickle.dumps(pool.nests))
+    groups = sorted(group.name for group in pool.groups)
+    sets = st.frozensets(st.sampled_from(groups))
+    offchip_sets = draw(st.lists(sets, min_size=2, max_size=3, unique=True))
+    picks = st.lists(st.integers(0, len(offchip_sets) - 1), min_size=2, max_size=6)
+    picks = draw(picks.filter(lambda drawn: len(set(drawn)) >= 2))
+    kinds = st.sampled_from(("own", "copy", None))
+    size = len(pool.nests)
+    sequence = []
+    for index, pick in enumerate(picks):
+        choices = draw(st.lists(kinds, min_size=size, max_size=size).filter(any))
+        nests = tuple(
+            nest if choice == "own" else copy
+            for nest, copy, choice in zip(pool.nests, copies, choices)
+            if choice is not None
+        )
+        program = dataclasses.replace(pool, name=f"p{index}", nests=nests)
+        fraction = draw(st.sampled_from((None, 0.0, 0.3, 0.7, 1.0)))
+        sequence.append((program, offchip_sets[pick], fraction))
+    return sequence
+
+
+def _cycle_budget(program, fraction):
+    graphs = [BodyFlowGraph(nest) for nest in program.nests]
+    lowest = sum(graph.macp * graph.iterations for graph in graphs)
+    if fraction is None:
+        return lowest - 1
+    highest = sum(graph.sequential_length * graph.iterations for graph in graphs)
+    return lowest + (highest - lowest) * fraction
+
+
+def _run_pmm(program, cycle_budget, offchip, **kwargs):
+    """run_pmm's report as a dict, or the type and text of its error."""
+    try:
+        result = run_pmm(
+            program, cycle_budget, 1e-3, library=_placed_library(offchip), **kwargs
+        )
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+    return result.report.to_dict()
+
+
+@given(drawn_sequences())
+@settings(deadline=None, max_examples=25, derandomize=True)
+def test_shared_tables_match_private_tables_and_reference(sequence):
+    """One table per off-chip set across a sequence changes no outcome.
+
+    The sequence runs once through shared tables, as one oracle dispatch
+    does, and once call by call with private tables; both must equal the
+    reference distributor.  The shared table's held costs are the
+    reference's, bit for bit.
+    """
+    tables = {}
+    run_tables = {}
+    for program, offchip, fraction in sequence:
+        cycle_budget = _cycle_budget(program, fraction)
+        weight_fn, cap_fn = _cost_fns(program, offchip)
+        table = tables.setdefault(offchip, BodyTable())
+        try:
+            slow = reference.distribute(program, cycle_budget, weight_fn, cap_fn)
+        except InfeasibleBudget:
+            with pytest.raises(InfeasibleBudget):
+                distribute(program, cycle_budget, weight_fn, cap_fn, table=table)
+            with pytest.raises(InfeasibleBudget):
+                distribute(program, cycle_budget, weight_fn, cap_fn)
+        else:
+            shared = distribute(program, cycle_budget, weight_fn, cap_fn, table=table)
+            alone = distribute(program, cycle_budget, weight_fn, cap_fn)
+            _assert_same_distribution(shared, slow)
+            _assert_same_distribution(alone, slow)
+            for nest in program.nests:
+                name = nest.name
+                schedule = shared.schedules[name]
+                held, cost = table.body(nest).balanced[schedule.budget]
+                assert held is schedule
+                slow_cost = reference.schedule_cost(
+                    slow.schedules[name], weight_fn, cap_fn
+                )
+                assert cost == slow_cost, name
+        shared_report = _run_pmm(program, cycle_budget, offchip, tables=run_tables)
+        assert shared_report == _run_pmm(program, cycle_budget, offchip)
+
+
+def test_table_keys_nests_by_identity():
+    """Two equal nests built separately get separate table entries.
+
+    Their flow graphs' successor sets may iterate in different orders,
+    and the port-cap repair follows that order.
+    """
+
+    def build():
+        builder = ProgramBuilder("twins")
+        builder.array("g0", (64,), 8)
+        nest = builder.nest("body", ("i",), (10,))
+        first = nest.read("g0", label="a")
+        nest.read("g0", label="b", after=[first])
+        return builder.build().nest("body")
+
+    nest, twin = build(), build()
+    assert nest == twin and nest is not twin
+    table = BodyTable()
+    body = table.body(nest)
+    assert table.body(nest) is body
+    assert table.body(twin) is not body
+    assert table.body(twin).graph is not body.graph
+    assert table.body(twin).nest is twin
 
 
 @pytest.mark.parametrize("app", ["cavity", "wavelet", "motion"])

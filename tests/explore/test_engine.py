@@ -326,15 +326,19 @@ def test_infeasible_points_skippable_parallel(monkeypatch):
 
 
 def _counted_oracle(monkeypatch, interrupt_at=None):
-    """Count in-process oracle calls; optionally interrupt the n-th."""
+    """Count in-process oracle calls; optionally interrupt the n-th.
+
+    The explorer hands each run its dispatch's body tables, which the
+    wrapper passes on.
+    """
     run = PmmRequest.run
     calls = []
 
-    def counted(request):
+    def counted(request, **kwargs):
         calls.append(request.label)
         if len(calls) == interrupt_at:
             raise KeyboardInterrupt
-        return run(request)
+        return run(request, **kwargs)
 
     monkeypatch.setattr(PmmRequest, "run", counted)
     return calls
