@@ -25,7 +25,17 @@ outside the allocation count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ...costs.report import CostReport, MemoryCost
 from ...ir.program import AccessCounts, Program
@@ -176,8 +186,19 @@ class AllocationResult:
         )
 
 
+#: One nest's traffic to an off-chip bin: (accesses per iteration, row
+#: streams, all sequential, body budget, iterations).
+_OffchipLoad = Tuple[float, int, bool, int, float]
+
+
 class _Evaluator:
-    """Caches per-bin cost evaluation for the local search."""
+    """Caches per-bin cost evaluation for the local search.
+
+    A bin is a bitmask over the program's group names, bit ``k`` for the
+    ``k``-th name in name order, so ascending bits visit a bin's groups
+    in name order.  The caches are keyed by mask; a frozen set of names
+    is built only to evaluate a miss.
+    """
 
     def __init__(
         self,
@@ -186,17 +207,28 @@ class _Evaluator:
         library: MemoryLibrary,
         frame_time_s: float,
         nest_loads: Sequence[NestLoad],
+        area_weight: float,
     ) -> None:
         self.program = program
         self.conflicts = conflicts
         self.library = library
         self.frame_time_s = frame_time_s
         self.nest_loads = tuple(nest_loads)
+        self.area_weight = area_weight
         self.counts: Dict[str, AccessCounts] = program.access_counts()
         self.geometry = {g.name: (g.words, g.bitwidth) for g in program.groups}
-        self._cache: Dict[Tuple[bool, FrozenSet[str]], Optional[MemoryBin]] = {}
+        self.names = sorted(self.geometry)
+        self.bit = {name: 1 << k for k, name in enumerate(self.names)}
+        self._bins: Dict[Tuple[bool, int], Optional[MemoryBin]] = {}
+        self._scalars: Dict[int, Optional[float]] = {}
 
     # ------------------------------------------------------------------
+    def mask(self, names: Iterable[str]) -> int:
+        mask = 0
+        for name in names:
+            mask |= self.bit[name]
+        return mask
+
     def rates(self, groups: Iterable[str]) -> Tuple[float, float]:
         # Name order, not set order: the float sums must not follow
         # string hashing.
@@ -205,24 +237,48 @@ class _Evaluator:
         writes = sum(self.counts[g].writes for g in names)
         return reads / self.frame_time_s, writes / self.frame_time_s
 
-    def evaluate(self, groups: FrozenSet[str], offchip: bool) -> Optional[MemoryBin]:
-        """Cost of one memory holding ``groups``; None if illegal."""
-        key = (offchip, groups)
-        if key not in self._cache:
-            self._cache[key] = self._evaluate(groups, offchip)
-        return self._cache[key]
+    def evaluate(self, mask: int, offchip: bool) -> Optional[MemoryBin]:
+        """Cost of one memory holding the groups of ``mask``; None if illegal."""
+        key = (offchip, mask)
+        try:
+            return self._bins[key]
+        except KeyError:
+            groups = frozenset(
+                name for k, name in enumerate(self.names) if mask >> k & 1
+            )
+            evaluated = self._bins[key] = self._evaluate(groups, offchip)
+            return evaluated
+
+    def scalar(self, mask: int) -> Optional[float]:
+        """An on-chip bin's power plus weighted area (0.0 when empty).
+
+        None when the bin is illegal.
+        """
+        try:
+            return self._scalars[mask]
+        except KeyError:
+            pass
+        value: Optional[float] = 0.0
+        if mask:
+            evaluated = self.evaluate(mask, offchip=False)
+            value = (
+                None
+                if evaluated is None
+                else evaluated.power_mw + self.area_weight * evaluated.area_mm2
+            )
+        self._scalars[mask] = value
+        return value
 
     # ------------------------------------------------------------------
-    def _offchip_occupancy(self, groups: FrozenSet[str], banks: int):
-        """(fits, effective access count) under the page-mode model.
+    def _offchip_loads(self, groups: FrozenSet[str]) -> List[_OffchipLoad]:
+        """The traffic of ``groups`` in each nest that touches them.
 
-        Checks, nest by nest, that the memory can serve its per-body
-        traffic within the body budget given ``banks`` interleaved
-        banks, and accumulates the effective (page-factor-weighted)
-        access count for the power model.
+        Per nest, in nest order: the accesses, row streams and
+        sequential flag summed over the groups in name order, then the
+        body budget and the iterations.  Every banks count reuses them.
         """
-        effective_total = 0.0
         names = sorted(groups)
+        loads = []
         for load in self.nest_loads:
             accesses = 0.0
             streams = 0
@@ -236,11 +292,28 @@ class _Evaluator:
                 sequential = sequential and entry.all_sequential
             if accesses == 0.0:
                 continue
-            factor = page_factor(streams, sequential, banks)
-            occupancy = accesses * factor
-            if occupancy > load.body_budget * banks:
+            loads.append(
+                (accesses, streams, sequential, load.body_budget, load.iterations)
+            )
+        return loads
+
+    @staticmethod
+    def _offchip_occupancy(
+        loads: Sequence[_OffchipLoad], banks: int
+    ) -> Tuple[bool, float]:
+        """(fits, effective access count) under the page-mode model.
+
+        Checks, nest by nest, that the memory can serve its per-body
+        traffic within the body budget given ``banks`` interleaved
+        banks, and accumulates the effective (page-factor-weighted)
+        access count for the power model.
+        """
+        effective_total = 0.0
+        for accesses, streams, sequential, body_budget, iterations in loads:
+            occupancy = accesses * page_factor(streams, sequential, banks)
+            if occupancy > body_budget * banks:
                 return False, 0.0
-            effective_total += occupancy * load.iterations
+            effective_total += occupancy * iterations
         return True, effective_total
 
     def _evaluate_offchip(self, groups: FrozenSet[str]) -> Optional[MemoryBin]:
@@ -249,11 +322,19 @@ class _Evaluator:
         ports = self.conflicts.ports_for(groups)
         read_rate, write_rate = self.rates(groups)
         raw_rate = read_rate + write_rate
+        loads = self._offchip_loads(groups)
+        #: banks -> (fits, effective access count): the same for every part.
+        occupancies: Dict[int, Tuple[bool, float]] = {}
         best: Optional[MemoryBin] = None
         for part in self.library.offchip.candidates(words, width):
             depth_banks = -(-words // part.words)
             for banks in range(max(ports, depth_banks), MAX_BANKS + 1):
-                fits, effective = self._offchip_occupancy(groups, banks)
+                occupancy = occupancies.get(banks)
+                if occupancy is None:
+                    occupancy = occupancies[banks] = self._offchip_occupancy(
+                        loads, banks
+                    )
+                fits, effective = occupancy
                 if not fits:
                     continue
                 effective_rate = effective / self.frame_time_s
@@ -365,7 +446,7 @@ def _assign_offchip(
     if not sharing:
         bins = []
         for name in sorted(groups):
-            evaluated = evaluator.evaluate(frozenset((name,)), offchip=True)
+            evaluated = evaluator.evaluate(evaluator.bit[name], offchip=True)
             if evaluated is None:
                 raise AssignmentError(f"group {name!r} fits no off-chip part")
             bins.append(evaluated)
@@ -376,7 +457,7 @@ def _assign_offchip(
         bins = []
         legal = True
         for part in partition:
-            evaluated = evaluator.evaluate(frozenset(part), offchip=True)
+            evaluated = evaluator.evaluate(evaluator.mask(part), offchip=True)
             if evaluated is None:
                 legal = False
                 break
@@ -392,115 +473,110 @@ def _assign_offchip(
     return best
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first: its groups in name order."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def _greedy_onchip(
-    groups: Sequence[str],
-    n_memories: int,
-    evaluator: _Evaluator,
-    area_weight: float,
-    order: Sequence[str],
-) -> Optional[List[FrozenSet[str]]]:
+    n_memories: int, evaluator: _Evaluator, order: Sequence[str]
+) -> Optional[List[int]]:
     """Greedy seeding: N singleton bins, then cheapest-fit for the rest."""
-    if n_memories > len(groups):
+    if n_memories > len(order):
         return None
-    bins: List[set] = [{name} for name in order[:n_memories]]
+    bit = evaluator.bit
+    bins = [bit[name] for name in order[:n_memories]]
     for name in order[n_memories:]:
         best_index = None
         best_delta = float("inf")
-        for index, bin_groups in enumerate(bins):
-            before = evaluator.evaluate(frozenset(bin_groups), offchip=False)
-            after = evaluator.evaluate(frozenset(bin_groups | {name}), offchip=False)
+        for index, mask in enumerate(bins):
+            after = evaluator.scalar(mask | bit[name])
             if after is None:
                 continue
-            delta = (after.power_mw + area_weight * after.area_mm2) - (
-                (before.power_mw + area_weight * before.area_mm2) if before else 0.0
-            )
+            before = evaluator.scalar(mask)
+            delta = after - (0.0 if before is None else before)
             if delta < best_delta:
                 best_delta = delta
                 best_index = index
         if best_index is None:
             return None
-        bins[best_index].add(name)
-    return [frozenset(b) for b in bins]
+        bins[best_index] |= bit[name]
+    return bins
 
 
 def _local_search(
-    bins: List[FrozenSet[str]],
-    evaluator: _Evaluator,
-    area_weight: float,
-    max_rounds: int = 40,
-) -> List[FrozenSet[str]]:
-    """Move/swap local search keeping every bin non-empty."""
+    bins: List[int], evaluator: _Evaluator, max_rounds: int = 40
+) -> List[int]:
+    """Move/swap local search keeping every bin non-empty.
 
-    def bin_cost(groups: FrozenSet[str]) -> Optional[float]:
-        if not groups:
-            return 0.0
-        evaluated = evaluator.evaluate(groups, offchip=False)
-        if evaluated is None:
-            return None
-        return evaluated.power_mw + area_weight * evaluated.area_mm2
-
-    current = [set(b) for b in bins]
+    The first improving move (or, when no move improves, swap) is taken
+    and the next round starts over.
+    """
+    cost = evaluator.scalar
+    current = list(bins)
     for _ in range(max_rounds):
         improved = False
-        # Single-group moves.
-        for src_index in range(len(current)):
-            if improved:
-                break
-            for name in sorted(current[src_index]):
-                if len(current[src_index]) == 1:
+        # Single-group moves, out of bins that keep a group.
+        for src_index, src in enumerate(current):
+            src_before = cost(src)
+            if src & (src - 1) == 0 or src_before is None:
+                continue
+            for bit in _bits(src):
+                src_after = cost(src ^ bit)
+                if src_after is None:
                     continue
-                src_before = bin_cost(frozenset(current[src_index]))
-                src_after = bin_cost(frozenset(current[src_index] - {name}))
-                if src_before is None or src_after is None:
-                    continue
-                moved = False
-                for dst_index in range(len(current)):
+                for dst_index, dst in enumerate(current):
                     if dst_index == src_index:
                         continue
-                    dst_before = bin_cost(frozenset(current[dst_index]))
-                    dst_after = bin_cost(frozenset(current[dst_index] | {name}))
+                    dst_before = cost(dst)
+                    dst_after = cost(dst | bit)
                     if dst_before is None or dst_after is None:
                         continue
                     delta = (src_after - src_before) + (dst_after - dst_before)
                     if delta < -1e-9:
-                        current[src_index].discard(name)
-                        current[dst_index].add(name)
+                        current[src_index] = src ^ bit
+                        current[dst_index] = dst | bit
                         improved = True
-                        moved = True
                         break
-                if moved:
+                if improved:
                     break
+            if improved:
+                break
         if improved:
             continue
         # Pairwise swaps.
-        for a_index in range(len(current)):
-            if improved:
-                break
+        for a_index, a in enumerate(current):
+            old_a = cost(a)
             for b_index in range(a_index + 1, len(current)):
-                if improved:
-                    break
-                for name_a in sorted(current[a_index]):
-                    if improved:
-                        break
-                    for name_b in sorted(current[b_index]):
-                        new_a = frozenset(current[a_index] - {name_a} | {name_b})
-                        new_b = frozenset(current[b_index] - {name_b} | {name_a})
-                        old_cost_a = bin_cost(frozenset(current[a_index]))
-                        old_cost_b = bin_cost(frozenset(current[b_index]))
-                        new_cost_a = bin_cost(new_a)
-                        new_cost_b = bin_cost(new_b)
-                        if None in (old_cost_a, old_cost_b, new_cost_a, new_cost_b):
+                b = current[b_index]
+                old_b = cost(b)
+                if old_a is None or old_b is None:
+                    continue
+                for bit_a in _bits(a):
+                    for bit_b in _bits(b):
+                        new_a = (a ^ bit_a) | bit_b
+                        new_b = (b ^ bit_b) | bit_a
+                        new_cost_a = cost(new_a)
+                        new_cost_b = cost(new_b)
+                        if new_cost_a is None or new_cost_b is None:
                             continue
-                        if (new_cost_a + new_cost_b) < (
-                            old_cost_a + old_cost_b
-                        ) - 1e-9:
-                            current[a_index] = set(new_a)
-                            current[b_index] = set(new_b)
+                        if (new_cost_a + new_cost_b) < (old_a + old_b) - 1e-9:
+                            current[a_index] = new_a
+                            current[b_index] = new_b
                             improved = True
                             break
+                    if improved:
+                        break
+                if improved:
+                    break
+            if improved:
+                break
         if not improved:
             break
-    return [frozenset(b) for b in current]
+    return current
 
 
 def assign_memories(
@@ -526,7 +602,9 @@ def assign_memories(
     ``strict``.  Register hierarchy layers (all-foreground groups) are
     materialized as register files and never counted in ``n_onchip``.
     """
-    evaluator = _Evaluator(program, conflicts, library, frame_time_s, nest_loads)
+    evaluator = _Evaluator(
+        program, conflicts, library, frame_time_s, nest_loads, area_weight
+    )
 
     # Identify register-layer groups: accessed by foreground sites only.
     background: Dict[str, bool] = {g.name: False for g in program.groups}
@@ -584,14 +662,14 @@ def assign_memories(
             continue
         found_at_count = False
         for order in orders:
-            seeded = _greedy_onchip(onchip_names, count, evaluator, area_weight, order)
+            seeded = _greedy_onchip(count, evaluator, order)
             if seeded is None:
                 continue
-            refined = _local_search(seeded, evaluator, area_weight)
+            refined = _local_search(seeded, evaluator)
             bins = []
             legal = True
-            for groups in refined:
-                evaluated = evaluator.evaluate(groups, offchip=False)
+            for mask in refined:
+                evaluated = evaluator.evaluate(mask, offchip=False)
                 if evaluated is None:
                     legal = False
                     break

@@ -15,19 +15,28 @@ re-placement of a site's occurrences, to a fixpoint), a port-cap repair
 that pushes successors right when an offender's window is closed, and
 another improvement round.
 
-The search runs on an integer-indexed kernel built once per
-:func:`balance` call: occurrence ids, predecessor and successor index
-lists, a table of pair costs (``None`` for mutually exclusive pairs), a
-same-group co-fire table and int lists of each cycle's residents.  The
-label-keyed version it replaced is kept in the tests
+The search runs on an integer-indexed kernel.  Its budget-independent
+tables (occurrence ids, predecessor and successor index lists, site
+chains, port caps, a table of pair costs with 0.0 for mutually
+exclusive pairs, and a same-group co-fire table) are built once per
+flow graph and set of weight and cap values, and the graph holds them
+(``BodyFlowGraph.kernel_tables``); a :func:`balance` call adds only its
+budget, the ALAP cycles and int lists of each cycle's residents.  The
+search prices nothing that cannot win: an occurrence whose window is
+its own cycle, the rest of a scan once a cycle costs nothing (when no
+term is negative), and a chain whose re-insertion could only put it
+back or can no longer beat its current cost.  Each refined seed is
+costed in the kernel by the same sum as :meth:`BodySchedule.cost`, and
+only the winner becomes a :class:`BodySchedule`.  The label-keyed
+version it replaced is kept in the tests
 (``tests/dtse/scbd_reference.py``), which check that both return the
-same schedules.
+same schedules and costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ...ir.loops import are_exclusive
 from .flowgraph import BodyFlowGraph, Occurrence
@@ -65,6 +74,12 @@ class BodySchedule:
     graph: BodyFlowGraph
     budget: int
     assignment: Dict[str, int]
+    #: :meth:`cost` under the weight and cap functions :func:`balance`
+    #: was given, which it computed while choosing this schedule; None
+    #: for a schedule made otherwise.
+    balanced_cost: Optional[float] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def nest_name(self) -> str:
@@ -178,35 +193,38 @@ def _violation_cost(
     return cost
 
 
-class _Kernel:
-    """One body's occurrences as integers, for one :func:`balance` call.
+class _Tables:
+    """One body's budget-independent kernel tables, for one set of values
+    of the weight and cap functions.
 
     Occurrence ``i`` is ``graph.occurrences[i]``.  Exclusivity, group
     weights and port caps are resolved once per pair or occurrence
-    instead of once per candidate cycle, and each cycle's residents are
-    an int list that sees the same appends and removes, in the same
-    order, as the search's moves: the placement cost sums its float
-    terms in that order.
+    instead of once per candidate cycle.  :func:`_tables` builds them at
+    most once per flow graph and set of values, and the graph holds them
+    as long as it lives.  Pricing terms are shared per occurrence class
+    (exclusive-class tag, group, expected accesses): every pair of two
+    classes holds one float object.
     """
 
     def __init__(
         self,
         graph: BodyFlowGraph,
-        budget: int,
-        weight_fn: WeightFn,
-        cap_fn: PortCapFn,
+        names: List[str],
+        weights: Tuple[float, ...],
+        caps: Tuple[int, ...],
     ) -> None:
         occurrences = graph.occurrences
         index = {occ.label: i for i, occ in enumerate(occurrences)}
-        self.budget = budget
         self.labels = [occ.label for occ in occurrences]
         self.preds = [[index[s] for s in graph.preds[label]] for label in self.labels]
         # Successors keep the graph's iteration order: push_right visits
         # them in it.
         self.succs = [[index[t] for t in graph.succs[label]] for label in self.labels]
         self.topological = [index[occ.label] for occ in graph.topological_order()]
-        self.alap = [graph.alap(label, budget) for label in self.labels]
-        self.caps = [cap_fn(occ.group) for occ in occurrences]
+        self.asap = [graph.asap(label) for label in self.labels]
+        #: The latest cycles under a budget of 0; a kernel adds its budget.
+        self.alap_at_zero = [graph.alap(label, 0) for label in self.labels]
+        self.iterations = graph.iterations
 
         # Sites of two or more occurrences, in first-occurrence order,
         # with the dependences that leave the chain.
@@ -224,36 +242,105 @@ class _Kernel:
             for i in range(len(occurrences))
         ]
 
-        # pair_terms[i][j]: the cost of j's residence in i's cycle, or
-        # None when the two never fire together; cofire[i][j]: 1 when j
-        # adds to the port demand of i's group.
+        # weights[a][b]: weight_fn's value for the groups named a and b,
+        # in name order; the flat tuple holds each pair a <= b once.
+        pair_weights = iter(weights)
+        self.weights: List[List[float]] = [[0.0] * len(names) for _ in names]
+        for a in range(len(names)):
+            for b in range(a, len(names)):
+                self.weights[a][b] = self.weights[b][a] = next(pair_weights)
+        group = {name: k for k, name in enumerate(names)}
+        self.group_of = [group[occ.group] for occ in occurrences]
+        self.caps = [caps[k] for k in self.group_of]
         tags = sorted({occ.exclusive_class for occ in occurrences})
-        tag_of = [tags.index(occ.exclusive_class) for occ in occurrences]
-        exclusive = [[are_exclusive(a or None, b or None) for b in tags] for a in tags]
-        names = sorted({occ.group for occ in occurrences})
-        group_of = [names.index(occ.group) for occ in occurrences]
-        weights = [[weight_fn(*sorted((a, b))) for b in names] for a in names]
-        expected = [occ.expected for occ in occurrences]
-        everyone = range(len(occurrences))
-        self.pair_terms: List[List[Optional[float]]] = []
-        self.cofire: List[List[int]] = []
-        for i in everyone:
-            excluded = exclusive[tag_of[i]]
-            row_weights = weights[group_of[i]]
-            e_i = expected[i]
-            terms: List[Optional[float]] = [
-                None
-                if excluded[tag_of[j]] or j == i
-                else e_i * expected[j] * row_weights[group_of[j]]
-                for j in everyone
+        self.tag_of = [tags.index(occ.exclusive_class) for occ in occurrences]
+        self.exclusive = [
+            [are_exclusive(a or None, b or None) for b in tags] for a in tags
+        ]
+        self.expected = [occ.expected for occ in occurrences]
+
+        # pair_terms[i][j]: the cost of j's residence in i's cycle, 0.0
+        # when the two never fire together or j is i; cofire[i][j]: 1
+        # when j adds to the port demand of i's group.
+        classes: Dict[Tuple[int, int, float], int] = {}
+        class_of = [
+            classes.setdefault((t, g, e), len(classes))
+            for t, g, e in zip(self.tag_of, self.group_of, self.expected)
+        ]
+        class_terms = [
+            [
+                0.0 if self.exclusive[t][u] else e * f * self.weights[g][h]
+                for u, h, f in classes
             ]
-            self.pair_terms.append(terms)
-            self.cofire.append(
-                [
-                    int(terms[j] is not None and group_of[j] == group_of[i])
-                    for j in everyone
-                ]
-            )
+            for t, g, e in classes
+        ]
+        #: Whether a pricing term is negative: only then can a placement
+        #: cost fall below 0.0.
+        self.negative = any(term < 0 for row in class_terms for term in row)
+        # An occurrence's rows are its class's, but for the diagonal.
+        tags_and_groups = list(zip(self.tag_of, self.group_of))
+        templates = []
+        for (t, g, _), row in zip(classes, class_terms):
+            excluded = self.exclusive[t]
+            terms = [row[d] for d in class_of]
+            cofire = [int(h == g and not excluded[u]) for u, h in tags_and_groups]
+            templates.append((terms, cofire))
+        self.pair_terms: List[List[float]] = []
+        self.cofire: List[List[int]] = []
+        for i, c in enumerate(class_of):
+            terms, cofire = templates[c]
+            self.pair_terms.append(terms[:])
+            self.cofire.append(cofire[:])
+            self.pair_terms[i][i] = 0.0
+            self.cofire[i][i] = 0
+
+
+def _tables(graph: BodyFlowGraph, weight_fn: WeightFn, cap_fn: PortCapFn) -> _Tables:
+    """The graph's held kernel tables for these weight and cap values.
+
+    Keyed by the values over the body's groups, not by the functions:
+    the oracle makes fresh closures for every point.
+    """
+    names = sorted({occ.group for occ in graph.occurrences})
+    weights = tuple(weight_fn(a, b) for k, a in enumerate(names) for b in names[k:])
+    caps = tuple(cap_fn(name) for name in names)
+    key = (weights, caps)
+    tables = graph.kernel_tables.get(key)
+    if tables is None:
+        tables = graph.kernel_tables[key] = _Tables(graph, names, weights, caps)
+    return tables
+
+
+class _Kernel:
+    """One :func:`balance` call's search over a body's held tables.
+
+    Only the budget and the ALAP cycles are the call's own.  Each
+    cycle's residents are an int list that sees the same appends and
+    removes, in the same order, as the search's moves: the placement
+    cost sums its float terms in that order.
+    """
+
+    def __init__(
+        self,
+        graph: BodyFlowGraph,
+        budget: int,
+        weight_fn: WeightFn,
+        cap_fn: PortCapFn,
+    ) -> None:
+        tables = _tables(graph, weight_fn, cap_fn)
+        self.tables = tables
+        self.budget = budget
+        self.alap = [budget + latest for latest in tables.alap_at_zero]
+        self.labels = tables.labels
+        self.preds = tables.preds
+        self.succs = tables.succs
+        self.topological = tables.topological
+        self.chains = tables.chains
+        self.outer_preds = tables.outer_preds
+        self.outer_succs = tables.outer_succs
+        self.caps = tables.caps
+        self.pair_terms = tables.pair_terms
+        self.cofire = tables.cofire
 
     # ------------------------------------------------------------------
     def residents(self, cycles: List[int]) -> List[List[int]]:
@@ -270,10 +357,8 @@ class _Kernel:
         cost = 0.0
         demand = 1
         for j in members:
-            term = terms[j]
-            if term is not None:
-                cost += term
-                demand += cofire[j]
+            cost += terms[j]
+            demand += cofire[j]
         if demand > self.caps[i]:
             cost += PORT_VIOLATION_PENALTY
         return cost
@@ -297,6 +382,40 @@ class _Kernel:
             if cycles[s] <= latest:
                 latest = cycles[s] - 1
         return earliest, latest
+
+    def schedule_cost(self, cycles: List[int], key_order: Iterable[int]) -> float:
+        """:meth:`BodySchedule.cost` of ``cycles`` with keys in ``key_order``.
+
+        The same ``sum()`` over the same terms in the same order, then
+        the same per-cycle penalties, so the float is bit-equal under
+        either ``sum()`` (left to right before Python 3.12, compensated
+        since).
+        """
+        by_cycle: Dict[int, List[int]] = {}
+        for i in key_order:
+            by_cycle.setdefault(cycles[i], []).append(i)
+        total = sum(self._conflict_terms(by_cycle))
+        for members in by_cycle.values():
+            cost = 0.0
+            for index, i in enumerate(members):
+                if self.demand(i, members[:index]) > self.caps[i]:
+                    cost += PORT_VIOLATION_PENALTY
+            total += cost
+        return total
+
+    def _conflict_terms(self, by_cycle: Dict[int, List[int]]) -> Iterator[float]:
+        """Each same-cycle pair's ``weight * weight_fn(a, b)``, in cost() order."""
+        tables = self.tables
+        iterations = tables.iterations
+        expected, tag_of, group_of = tables.expected, tables.tag_of, tables.group_of
+        for members in by_cycle.values():
+            for index, i in enumerate(members):
+                excluded = tables.exclusive[tag_of[i]]
+                weights = tables.weights[group_of[i]]
+                e_i = expected[i]
+                for j in members[index + 1 :]:
+                    if not excluded[tag_of[j]]:
+                        yield e_i * expected[j] * iterations * weights[group_of[j]]
 
     # ------------------------------------------------------------------
     def seed_greedy(self) -> List[int]:
@@ -327,21 +446,33 @@ class _Kernel:
         # Sinks first: tail occurrences move right into the slack before
         # their predecessors try to, unrolling ASAP-packed jams.
         order = self.topological[::-1]
+        # Without a negative term no cost is below 0.0, so a best cost
+        # within 1e-12 of it cannot be beaten and ends the scan.
+        floor = float("-inf") if self.tables.negative else 0.0
         for _ in range(IMPROVEMENT_PASSES):
             improved = False
             for i in order:
                 current = cycles[i]
                 earliest, latest = self.window(i, cycles)
-                by_cycle[current].remove(i)
+                members = by_cycle[current]
+                members.remove(i)
+                if earliest == latest:
+                    # The window is the occurrence's own cycle: it stays,
+                    # at the end of the cycle's residents.
+                    members.append(i)
+                    continue
                 best_cycle = current
-                best_cost = self.placement_cost(i, by_cycle[current])
-                for cycle in range(earliest, latest + 1):
-                    if cycle == current:
-                        continue
-                    cost = self.placement_cost(i, by_cycle[cycle])
-                    if cost < best_cost - 1e-12:
-                        best_cost = cost
-                        best_cycle = cycle
+                best_cost = self.placement_cost(i, members)
+                if best_cost - 1e-12 > floor:
+                    for cycle in range(earliest, latest + 1):
+                        if cycle == current:
+                            continue
+                        cost = self.placement_cost(i, by_cycle[cycle])
+                        if cost < best_cost - 1e-12:
+                            best_cost = cost
+                            best_cycle = cycle
+                            if cost - 1e-12 <= floor:
+                                break
                 cycles[i] = best_cycle
                 by_cycle[best_cycle].append(i)
                 if best_cycle != current:
@@ -352,6 +483,18 @@ class _Kernel:
             if not improved:
                 break
 
+    def chain_window(
+        self, i: int, earliest: int, latest: int, cycles: List[int]
+    ) -> Tuple[int, int]:
+        """``earliest..latest`` narrowed by ``i``'s dependences off its chain."""
+        for p in self.outer_preds[i]:
+            if cycles[p] >= earliest:
+                earliest = cycles[p] + 1
+        for s in self.outer_succs[i]:
+            if cycles[s] <= latest:
+                latest = cycles[s] - 1
+        return earliest, latest
+
     def replace_chain(
         self, chain: List[int], cycles: List[int], by_cycle: List[List[int]]
     ) -> bool:
@@ -359,47 +502,79 @@ class _Kernel:
 
         Returns True (and keeps the new placement) only when the total
         cost strictly improved; otherwise restores the original cycles.
+
+        The chain is a dependence chain, so in a legal schedule each of
+        its occurrences has a cycle of its own.  An occurrence whose
+        re-insertion window is just its original cycle goes back there
+        among the same residents in the same order, at the cost it has
+        now, so it is not priced again.
         """
         original = [cycles[i] for i in chain]
+        last = self.budget - len(chain) + 1
+        previous = 0
+        for index, i in enumerate(chain):
+            cycle = original[index]
+            window = self.chain_window(i, previous + 1, last + index, cycles)
+            if window != (cycle, cycle):
+                break
+            previous = cycle
+        else:
+            # Every occurrence would return to its cycle: no gain.  Only
+            # the roll-back's reordering happens, each occurrence moving
+            # to the end of its cycle's residents.
+            for i in chain:
+                members = by_cycle[cycles[i]]
+                members.remove(i)
+                members.append(i)
+            return False
+
+        costs = []
         before = 0.0
         for i in chain:
             members = by_cycle[cycles[i]]
             members.remove(i)
-            before += self.placement_cost(i, members)
+            costs.append(self.placement_cost(i, members))
+            before += costs[-1]
             members.append(i)
+        # Without a negative term the re-placed cost only grows with each
+        # placement, so once it cannot end below the threshold the chain
+        # stays.  Each of its occurrences then already sits last in its
+        # cycle, as the roll-back below would leave it.
+        threshold = before - 1e-9
+        prune = not self.tables.negative
+        if prune and not threshold > 0.0:
+            return False
         for i in chain:
             by_cycle[cycles[i]].remove(i)
 
         after = 0.0
         previous = 0
         placed = len(chain)
-        last = self.budget - len(chain) + 1
         for index, i in enumerate(chain):
-            earliest = previous + 1
-            for p in self.outer_preds[i]:
-                if cycles[p] >= earliest:
-                    earliest = cycles[p] + 1
-            latest = last + index
-            for s in self.outer_succs[i]:
-                if cycles[s] <= latest:
-                    latest = cycles[s] - 1
+            earliest, latest = self.chain_window(i, previous + 1, last + index, cycles)
             if earliest > latest:
                 placed = index
                 break
-            best_cycle, best_cost = earliest, None
-            for cycle in range(earliest, latest + 1):
-                cost = self.placement_cost(i, by_cycle[cycle])
-                if best_cost is None or cost < best_cost - 1e-12:
-                    best_cost = cost
-                    best_cycle = cycle
-                    if cost == 0.0:
-                        break
+            if earliest == latest == original[index]:
+                best_cycle, best_cost = earliest, costs[index]
+            else:
+                best_cycle, best_cost = earliest, None
+                for cycle in range(earliest, latest + 1):
+                    cost = self.placement_cost(i, by_cycle[cycle])
+                    if best_cost is None or cost < best_cost - 1e-12:
+                        best_cost = cost
+                        best_cycle = cycle
+                        if cost == 0.0:
+                            break
             cycles[i] = best_cycle
             by_cycle[best_cycle].append(i)
             after += best_cost
             previous = best_cycle
+            if prune and not after < threshold:
+                placed = index + 1
+                break
 
-        if placed == len(chain) and after < before - 1e-9:
+        if placed == len(chain) and after < threshold:
             return True
         # Roll back: the re-placed part leaves, then the chain returns in
         # order to its original cycles.
@@ -510,30 +685,32 @@ def balance(
     """
     graph.check_budget(budget)
     kernel = _Kernel(graph, budget, weight_fn, cap_fn)
-    labels = kernel.labels
-    in_order = range(len(labels))
-    best_schedule: Optional[BodySchedule] = None
+    in_order = range(len(kernel.labels))
+    best: Optional[Tuple[Iterable[int], List[int]]] = None
     best_cost = float("inf")
     # The assignment's key order is the seed's (topological for the
     # greedy seed, occurrence order for the others): cost() and the
     # conflict graph sum their floats in it.
     for key_order, cycles in (
         (kernel.topological, kernel.seed_greedy()),
-        (in_order, [graph.asap(label) for label in labels]),
+        (in_order, list(kernel.tables.asap)),
         (in_order, list(kernel.alap)),
     ):
         kernel.improve(cycles)
         kernel.repair(cycles)
         kernel.improve(cycles)
-        schedule = BodySchedule(
-            graph=graph,
-            budget=budget,
-            assignment={labels[i]: cycles[i] for i in key_order},
-        )
-        cost = schedule.cost(weight_fn, cap_fn)
+        cost = kernel.schedule_cost(cycles, key_order)
         if cost < best_cost:
             best_cost = cost
-            best_schedule = schedule
-    assert best_schedule is not None
-    best_schedule.verify()
-    return best_schedule
+            best = key_order, cycles
+    assert best is not None
+    key_order, cycles = best
+    labels = kernel.labels
+    schedule = BodySchedule(
+        graph=graph,
+        budget=budget,
+        assignment={labels[i]: cycles[i] for i in key_order},
+    )
+    schedule.balanced_cost = best_cost
+    schedule.verify()
+    return schedule

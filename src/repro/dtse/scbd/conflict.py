@@ -10,8 +10,9 @@ legality/cost and the latter to size memory ports.
 Port demand respects mutual exclusion: accesses with incomparable
 exclusive-class tags (see :func:`repro.ir.loops.are_exclusive`) never
 fire together, so they can share one port.  The demand of a slot is the
-largest set of pairwise *co-firing* accesses — a maximum clique over the
-co-fire relation, computed exactly (slots are small).
+largest set of pairwise *co-firing* accesses.  Tags co-fire only along
+``:``-prefixes, so that set is a chain of prefixes, counted in closed
+form (:func:`max_cofire`).
 """
 
 from __future__ import annotations
@@ -19,30 +20,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from ...ir.loops import are_exclusive
 from .balancing import BodySchedule
 
 
 def max_cofire(tags: Sequence[str]) -> int:
     """Largest pairwise co-firing subset of exclusive-class tags.
 
-    Empty-string tags co-fire with everything.  Exact branch-and-bound
-    over the co-fire graph (inputs are per-cycle access lists: tiny).
+    Empty tags co-fire with everything.  Two tags co-fire only when one
+    is a ``:``-prefix of the other (equal tags included), so a co-firing
+    set is a chain of prefixes, and the largest one is every empty tag
+    plus, for the best single tag, every tag that prefixes it.
     """
-    items = list(tags)
+    untagged = 0
+    counts: Dict[str, int] = {}
+    for tag in tags:
+        if tag:
+            counts[tag] = counts.get(tag, 0) + 1
+        else:
+            untagged += 1
     best = 0
-
-    def extend(chosen: List[str], remaining: List[str]) -> None:
-        nonlocal best
-        best = max(best, len(chosen))
-        for index, tag in enumerate(remaining):
-            if len(chosen) + len(remaining) - index <= best:
-                return  # cannot beat the incumbent
-            if all(not are_exclusive(tag or None, c or None) for c in chosen):
-                extend(chosen + [tag], remaining[index + 1 :])
-
-    extend([], items)
-    return best
+    for tag in counts:
+        parts = tag.split(":")
+        prefixed = sum(
+            counts.get(":".join(parts[:depth]), 0)
+            for depth in range(1, len(parts) + 1)
+        )
+        best = max(best, prefixed)
+    return untagged + best
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,16 @@ class ConflictGraph:
         self.edges: Dict[Tuple[str, str], float] = dict(edges)
         self.slots: Tuple[ConcurrencySlot, ...] = tuple(slots)
         # The port-demand query's state: each distinct slot-entry tuple
-        # once, and max_cofire per tag tuple it has met.
-        self._entries = tuple(dict.fromkeys(slot.entries for slot in self.slots))
+        # once, longest first, as its length and its tags per group, and
+        # max_cofire per tag tuple it has met.
+        self._tags: List[Tuple[int, Dict[str, Tuple[str, ...]]]] = []
+        distinct = dict.fromkeys(slot.entries for slot in self.slots)
+        for entries in sorted(distinct, key=len, reverse=True):
+            tags: Dict[str, List[str]] = {}
+            for group, tag in entries:
+                tags.setdefault(group, []).append(tag)
+            by_group = {group: tuple(group_tags) for group, group_tags in tags.items()}
+            self._tags.append((len(entries), by_group))
         self._cofire: Dict[Tuple[str, ...], int] = {}
 
     # ------------------------------------------------------------------
@@ -125,14 +137,18 @@ class ConflictGraph:
 
         The peak, over slots, of the largest co-firing subset of the
         slot's accesses to ``groups`` (at least 1).  A slot with no more
-        such accesses than the peak so far cannot raise it.
+        such accesses than the peak so far cannot raise it, and neither
+        can any shorter slot after it.
         """
         members = set(groups)
         peak = 1
-        for entries in self._entries:
-            if len(entries) <= peak:
-                continue
-            tags = tuple(tag for group, tag in entries if group in members)
+        for size, tags_of in self._tags:
+            if size <= peak:
+                break
+            tags: Tuple[str, ...] = ()
+            for group, group_tags in tags_of.items():
+                if group in members:
+                    tags += group_tags
             if len(tags) <= peak:
                 continue
             demand = self._cofire.get(tags)

@@ -102,7 +102,7 @@ class _Body:
         held = self.balanced.get(budget)
         if held is None:
             schedule = balance(self.graph, budget, weight_fn, cap_fn)
-            held = self.balanced[budget] = (schedule, schedule.cost(weight_fn, cap_fn))
+            held = self.balanced[budget] = (schedule, schedule.balanced_cost)
         return held
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Any, Dict, FrozenSet, Hashable, List
 
 from ...ir.loops import LoopNest
 from ...ir.types import AccessKind
@@ -110,6 +110,9 @@ class BodyFlowGraph:
         self._by_label = {occ.label: occ for occ in self.occurrences}
         self._depth_from_source = self._longest_paths(self.preds)
         self._depth_to_sink = self._longest_paths(self.succs)
+        #: The balancer's budget-independent tables, one per set of
+        #: weight and cap values, held as long as the graph.
+        self.kernel_tables: Dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -687,6 +687,34 @@ def _evaluate_chunk(requests: Sequence[PmmRequest]) -> List[_Outcome]:
     return [_evaluate_request(request, tables) for request in requests]
 
 
+def _pool_chunks(
+    requests: Sequence[PmmRequest], workers: int
+) -> List[Sequence[PmmRequest]]:
+    """A pooled batch cut into contiguous chunks, in order.
+
+    Chunks end where the program object changes, so the points of one
+    program share their chunk's body tables.  A run of one program longer
+    than ``ceil(n / workers)`` points is split into near-equal pieces of
+    at most that many, so every worker gets work.
+    """
+    limit = math.ceil(len(requests) / workers)
+    chunks: List[Sequence[PmmRequest]] = []
+    start = 0
+    while start < len(requests):
+        program = requests[start].program
+        end = start + 1
+        while end < len(requests) and requests[end].program is program:
+            end += 1
+        size = end - start
+        pieces = math.ceil(size / limit)
+        chunks.extend(
+            requests[start + size * k // pieces : start + size * (k + 1) // pieces]
+            for k in range(pieces)
+        )
+        start = end
+    return chunks
+
+
 # ----------------------------------------------------------------------
 # The explorer
 # ----------------------------------------------------------------------
@@ -1020,11 +1048,12 @@ class Explorer:
         """Run the oracle for ``fresh``, pin the outcomes in ``known``.
 
         Outcomes come from the pool, one contiguous chunk of requests
-        per task, flattened back into point order, when the pool pays
-        off; else from a lazy in-process generator (also when the pool
-        is lost).  The serial batch shares one set of body tables, and
-        each pool chunk one of its own.  One loop consumes the outcomes
-        in point order, counting each as a miss; with
+        per task (:func:`_pool_chunks`: one program object per chunk),
+        flattened back into point order, when the pool pays off; else
+        from a lazy in-process generator (also when the pool is lost).
+        The serial batch shares one set of body tables, and each pool
+        chunk one of its own.  One loop consumes the outcomes in point
+        order, counting each as a miss; with
         ``on_error="raise"`` it raises at the first failure and consumes
         nothing after it.  What it consumed is stored in one
         :meth:`EvaluationCache.store_many`, also on a raise or an
@@ -1045,13 +1074,7 @@ class Explorer:
             and (self._pool is not None or len(requests) >= self.MIN_PARALLEL_BATCH)
         ):
             pool = self._ensure_pool()
-            # Chunk so each worker gets a handful of round trips, not
-            # one IPC exchange per point.
-            chunksize = max(1, math.ceil(len(requests) / (self.workers * 4)))
-            chunks = [
-                requests[start : start + chunksize]
-                for start in range(0, len(requests), chunksize)
-            ]
+            chunks = _pool_chunks(requests, self.workers)
             try:
                 outcomes = [
                     outcome

@@ -3,7 +3,8 @@
 A copy, comments aside, of the body balancer (seeds, local search,
 chain re-placement, port-cap repair and ``balance``), of the eager
 budget distributor that re-balanced every body in every round, and of
-the per-slot port-demand query, as they stood before the fast path, and
+the per-slot port-demand query with its branch-and-bound clique search
+(``max_cofire``), as they stood before the fast path, and
 of ``BodySchedule.cost``, ``conflict_pairs`` and the conflict graph's
 edge sums as they stood before exclusivity was resolved once per tag
 pair.  Only tests import it: ``test_scbd_reference.py`` checks that the
@@ -15,7 +16,7 @@ here decides the golden files.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dtse.scbd.balancing import (
     PORT_VIOLATION_PENALTY,
@@ -25,7 +26,7 @@ from repro.dtse.scbd.balancing import (
     _default_cap,
     _default_weight,
 )
-from repro.dtse.scbd.conflict import ConcurrencySlot, ConflictGraph, max_cofire
+from repro.dtse.scbd.conflict import ConcurrencySlot, ConflictGraph
 from repro.dtse.scbd.distribution import BudgetDistribution
 from repro.dtse.scbd.flowgraph import BodyFlowGraph, InfeasibleBudget, Occurrence
 from repro.ir.loops import are_exclusive
@@ -477,6 +478,23 @@ def distribute(
 # ----------------------------------------------------------------------
 # The per-slot port-demand query
 # ----------------------------------------------------------------------
+def max_cofire(tags: Sequence[str]) -> int:
+    items = list(tags)
+    best = 0
+
+    def extend(chosen: List[str], remaining: List[str]) -> None:
+        nonlocal best
+        best = max(best, len(chosen))
+        for index, tag in enumerate(remaining):
+            if len(chosen) + len(remaining) - index <= best:
+                return
+            if all(not are_exclusive(tag or None, c or None) for c in chosen):
+                extend(chosen + [tag], remaining[index + 1 :])
+
+    extend([], items)
+    return best
+
+
 def demand_for(slot: ConcurrencySlot, groups: Iterable[str]) -> int:
     members = set(groups)
     tags = [tag for group, tag in slot.entries if group in members]

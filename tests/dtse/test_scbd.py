@@ -1,9 +1,12 @@
 """SCBD: flow graphs, balancing, conflict graphs, budget distribution."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.dtse.pipeline as pipeline
+import repro.dtse.scbd.balancing as balancing
 import repro.dtse.scbd.distribution as distribution
 from repro.api import Explorer
 from repro.dtse import analyze_macp, body_critical_path
@@ -15,6 +18,7 @@ from repro.dtse.scbd import (
     distribute,
 )
 from repro.dtse.scbd.conflict import max_cofire
+from repro.explore.engine import _pool_chunks
 from repro.ir import ProgramBuilder
 
 
@@ -202,6 +206,66 @@ def test_batch_balances_each_body_budget_once(app, balanced, monkeypatch):
         assert len(keys) == len(calls)
         assert len(calls) == balanced
         calls.clear()
+
+
+def test_btpc_decision_round_counts(study, monkeypatch):
+    """The four btpc decision rows, each a cold point of its own explorer.
+
+    130 balance calls, and kernel tables built once per (flow graph,
+    weight and cap values): 36 builds, not one per balance call.
+    """
+    calls = _count_balance(monkeypatch)
+    builds = []
+
+    class CountedTables(balancing._Tables):
+        def __init__(self, graph, names, weights, caps):
+            # The graph is held, so no later graph reuses its id.
+            builds.append((graph, weights, caps))
+            super().__init__(graph, names, weights, caps)
+
+    monkeypatch.setattr(balancing, "_Tables", CountedTables)
+    for step in study.greedy_steps():
+        point = next(p for p in step.points if p.display_label == step.select)
+        Explorer(study.space).evaluate(point)
+    assert len(calls) == 130
+    keys = {(id(graph), weights, caps) for graph, weights, caps in builds}
+    assert len(keys) == len(builds) == 36
+
+
+@pytest.mark.parametrize(
+    "app, workers, expected",
+    [
+        ("cavity", 2, 5),
+        ("cavity", 4, 5),
+        ("wavelet", 2, 4),
+        ("wavelet", 4, 4),
+        ("motion", 2, 2),
+        ("motion", 4, 4),
+    ],
+)
+def test_pool_chunks_keep_programs_together(app, workers, expected):
+    """Chunks cut at program-object boundaries, in point order.
+
+    Each default space lists its points variant by variant, so a chunk
+    is one variant's run, split into near-equal pieces only when the
+    run holds more than ceil(n / workers) points (motion's one variant).
+    """
+    space = Explorer.for_app(app).space
+    explorer = Explorer(space)
+    requests = [explorer.request_for(point) for point in space.points()]
+    chunks = _pool_chunks(requests, workers)
+    assert len(chunks) == expected
+    assert [id(r) for chunk in chunks for r in chunk] == [id(r) for r in requests]
+    limit = math.ceil(len(requests) / workers)
+    for chunk in chunks:
+        assert 0 < len(chunk) <= limit
+        assert len({id(request.program) for request in chunk}) == 1
+    sizes = {}
+    for chunk in chunks:
+        sizes.setdefault(id(chunk[0].program), []).append(len(chunk))
+    assert len(sizes) == len(space.variant_names)
+    for pieces in sizes.values():
+        assert max(pieces) - min(pieces) <= 1
 
 
 def _reports(records):

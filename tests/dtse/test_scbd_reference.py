@@ -28,6 +28,7 @@ from repro.dtse.scbd import (
     distribute,
 )
 from repro.dtse.scbd.balancing import _Kernel
+from repro.dtse.scbd.conflict import max_cofire
 from repro.dtse.scbd.distribution import BodyTable
 from repro.ir import ProgramBuilder
 from repro.memlib.library import default_library
@@ -82,6 +83,133 @@ def _cost_fns(program, offchip):
     """Weight and cap functions as the oracle builds them."""
     library = _placed_library(offchip)
     return make_weight_fn(program, library), make_cap_fn(program, library)
+
+
+@st.composite
+def drawn_balance_calls(draw):
+    """One flow graph, balanced at every budget under two off-chip sets.
+
+    The calls visit every (budget, set) pair in a drawn order, so the
+    graph's held kernel tables serve budgets out of order and the two
+    sets interleave on one graph object.
+    """
+    program, first = draw(drawn_programs())
+    graph = BodyFlowGraph(draw(st.sampled_from(program.nests)))
+    groups = sorted(group.name for group in program.groups)
+    second = draw(st.sets(st.sampled_from(groups)))
+    budgets = range(graph.macp, graph.sequential_length + 1)
+    calls = [(budget, offchip) for budget in budgets for offchip in (0, 1)]
+    return program, graph, (first, second), draw(st.permutations(calls))
+
+
+@given(drawn_balance_calls())
+@settings(deadline=None, max_examples=40, derandomize=True)
+def test_held_tables_and_kernel_cost_match_reference(drawn):
+    """Budgets in any order, off-chip sets interleaved, one graph object.
+
+    Each schedule equals the reference's, key order included, and the
+    cost balance hands over is the reference cost bit for bit.  The
+    graph holds one set of kernel tables per distinct weight and cap
+    values, however many budgets it was balanced at.
+    """
+    program, graph, offchip_sets, calls = drawn
+    fns = [_cost_fns(program, offchip) for offchip in offchip_sets]
+    for budget, pick in calls:
+        weight_fn, cap_fn = fns[pick]
+        fast = balance(graph, budget, weight_fn, cap_fn)
+        slow = reference.balance(graph, budget, weight_fn, cap_fn)
+        where = f"{graph.nest_name} at {budget} under set {pick}"
+        assert list(fast.assignment.items()) == list(slow.assignment.items()), where
+        expected = reference.schedule_cost(slow, weight_fn, cap_fn).hex()
+        assert fast.balanced_cost.hex() == expected, where
+    body_groups = {occ.group for occ in graph.occurrences}
+    values = {frozenset(body_groups & offchip) for offchip in offchip_sets}
+    assert len(graph.kernel_tables) == (len(values) if body_groups else 0)
+
+
+@given(drawn_programs(), st.data())
+@settings(deadline=None, max_examples=20, derandomize=True)
+def test_held_tables_are_keyed_by_port_caps_too(drawn, data):
+    """Equal weights under two drawn port-cap functions: each call gets
+    the tables of its own caps."""
+    program, _ = drawn
+    groups = sorted(group.name for group in program.groups)
+    caps = st.fixed_dictionaries({name: st.integers(1, 3) for name in groups})
+    cap_fns = [data.draw(caps).__getitem__ for _ in range(2)]
+    for nest in program.nests:
+        graph = BodyFlowGraph(nest)
+        for budget in range(graph.macp, graph.sequential_length + 1):
+            for cap_fn in cap_fns:
+                fast = balance(graph, budget, cap_fn=cap_fn)
+                slow = reference.balance(graph, budget, cap_fn=cap_fn)
+                assert list(fast.assignment.items()) == list(slow.assignment.items())
+                expected = reference.schedule_cost(slow, cap_fn=cap_fn)
+                assert fast.balanced_cost.hex() == expected.hex()
+
+
+@st.composite
+def drawn_weights(draw, values):
+    """A drawn program and a weight table over its groups' name pairs."""
+    program, offchip = draw(drawn_programs())
+    groups = sorted(group.name for group in program.groups)
+    table = {
+        (a, b): draw(st.sampled_from(values))
+        for k, a in enumerate(groups)
+        for b in groups[k:]
+    }
+    return program, offchip, table
+
+
+def _assert_handed_cost_matches(program, offchip, table):
+    """Every budget of every body: the reference schedule, and the handed
+    cost equals ``BodySchedule.cost`` and the reference cost bit for bit."""
+    _, cap_fn = _cost_fns(program, offchip)
+
+    def weight_fn(group_a, group_b):
+        return table[(group_a, group_b)]
+
+    for nest in program.nests:
+        graph = BodyFlowGraph(nest)
+        for budget in range(graph.macp, graph.sequential_length + 1):
+            fast = balance(graph, budget, weight_fn, cap_fn)
+            slow = reference.balance(graph, budget, weight_fn, cap_fn)
+            where = f"{graph.nest_name} at {budget}"
+            assert list(fast.assignment.items()) == list(slow.assignment.items()), where
+            handed = fast.balanced_cost.hex()
+            assert handed == fast.cost(weight_fn, cap_fn).hex(), where
+            assert handed == reference.schedule_cost(slow, weight_fn, cap_fn).hex()
+
+
+@given(drawn_weights((0, 1, 2, 3, 7)))
+@settings(deadline=None, max_examples=25, derandomize=True)
+def test_handed_cost_is_bodyschedule_cost_with_int_weights(drawn):
+    """A weight function that returns ints: the kernel's cost terms are
+    the same float-times-int products, summed by the same ``sum()``."""
+    _assert_handed_cost_matches(*drawn)
+
+
+@given(drawn_weights((-3.0, -0.5, 0.0, 1.0, 2.5)))
+@settings(deadline=None, max_examples=40, derandomize=True)
+def test_negative_weights_switch_the_zero_cost_stop_off(drawn):
+    """With a negative term a placement can cost less than 0.0, so the
+    local search must price past a zero-cost cycle, as the reference
+    does."""
+    _assert_handed_cost_matches(*drawn)
+
+
+#: Exclusive-class tags: flat, nested three deep, and untagged.
+COFIRE_TAGS = ("", "D", "D:0", "D:0:1", "D:1", "D:1:0", "H", "H:0", "V", "D0")
+
+
+@given(st.lists(st.sampled_from(COFIRE_TAGS), max_size=10))
+@settings(deadline=None, max_examples=300, derandomize=True)
+def test_max_cofire_closed_form_matches_branch_and_bound(tags):
+    """The largest prefix chain is the largest co-firing set.
+
+    Drawn lists hold duplicates, nested and sibling tags; ``D0`` shares
+    a string prefix with ``D`` but is not a ``:``-prefix of it.
+    """
+    assert max_cofire(tags) == reference.max_cofire(tags), tags
 
 
 def _assert_cost_matches(schedules, weight_fn, cap_fn):
