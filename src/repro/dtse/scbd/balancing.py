@@ -25,12 +25,13 @@ budget, the ALAP cycles and int lists of each cycle's residents.  The
 search prices nothing that cannot win: an occurrence whose window is
 its own cycle, the rest of a scan once a cycle costs nothing (when no
 term is negative), and a chain whose re-insertion could only put it
-back or can no longer beat its current cost.  Each refined seed is
-costed in the kernel by the same sum as :meth:`BodySchedule.cost`, and
-only the winner becomes a :class:`BodySchedule`.  The label-keyed
-version it replaced is kept in the tests
-(``tests/dtse/scbd_reference.py``), which check that both return the
-same schedules and costs.
+back or can no longer beat its current cost.  A schedule's cost is
+summed over the same tables (:meth:`_Tables.schedule_cost`), by
+:func:`balance` for each refined seed and by :meth:`BodySchedule.cost`;
+only the winning seed becomes a :class:`BodySchedule`.  The label-keyed
+version the kernel replaced, with its per-pair cost, is kept in the
+tests (``tests/dtse/scbd_reference.py``), which check that both return
+the same schedules and costs.
 """
 
 from __future__ import annotations
@@ -103,15 +104,9 @@ class BodySchedule:
         (the group needs a second port).  The weight is the expected
         number of co-occurrences over the whole nest.
         """
-        return self._pairs(self.cycles(), {})
-
-    def _pairs(
-        self,
-        by_cycle: Dict[int, List[Occurrence]],
-        exclusive: Dict[Tuple[str, str], bool],
-    ) -> Iterator[Tuple[str, str, float]]:
         iterations = self.iterations
-        for members in by_cycle.values():
+        exclusive: Dict[Tuple[str, str], bool] = {}
+        for members in self.cycles().values():
             for i, first in enumerate(members):
                 group = first.group
                 tag = first.exclusive_class
@@ -131,16 +126,16 @@ class BodySchedule:
         weight_fn: WeightFn = _default_weight,
         cap_fn: PortCapFn = _default_cap,
     ) -> float:
-        """Total weighted conflict cost, including port-cap violations."""
-        by_cycle = self.cycles()
-        exclusive: Dict[Tuple[str, str], bool] = {}
-        total = sum(
-            weight * weight_fn(a, b)
-            for a, b, weight in self._pairs(by_cycle, exclusive)
+        """Total weighted conflict cost, including port-cap violations.
+
+        Summed over the graph's held kernel tables in the assignment's
+        key order, as :func:`balance` sums it for the schedule it picks.
+        """
+        tables = _tables(self.graph, weight_fn, cap_fn)
+        index = {label: i for i, label in enumerate(tables.labels)}
+        return tables.schedule_cost(
+            (index[label], cycle) for label, cycle in self.assignment.items()
         )
-        for members in by_cycle.values():
-            total += _violation_cost(members, cap_fn, exclusive)
-        return total
 
     def verify(self) -> None:
         """Assert dependence and budget legality (used by tests)."""
@@ -166,31 +161,6 @@ def _exclusive(tag_a: str, tag_b: str, memo: Dict[Tuple[str, str], bool]) -> boo
     if exclusive is None:
         exclusive = memo[key] = are_exclusive(tag_a, tag_b)
     return exclusive
-
-
-def _violation_cost(
-    members: List[Occurrence],
-    cap_fn: PortCapFn,
-    exclusive: Dict[Tuple[str, str], bool],
-) -> float:
-    """Penalty for same-cycle, same-group demand beyond the port cap.
-
-    Each access's demand counts itself and the earlier same-group
-    accesses of the cycle that can fire with it.
-    """
-    cost = 0.0
-    for index, occurrence in enumerate(members):
-        group = occurrence.group
-        tag = occurrence.exclusive_class
-        demand = 1
-        for other in members[:index]:
-            if other.group == group and not _exclusive(
-                tag, other.exclusive_class, exclusive
-            ):
-                demand += 1
-        if demand > cap_fn(group):
-            cost += PORT_VIOLATION_PENALTY
-    return cost
 
 
 class _Tables:
@@ -294,6 +264,42 @@ class _Tables:
             self.pair_terms[i][i] = 0.0
             self.cofire[i][i] = 0
 
+    def schedule_cost(self, placed: Iterable[Tuple[int, int]]) -> float:
+        """Conflict cost of occurrences placed at ``(index, cycle)`` pairs.
+
+        One ``sum()`` over each same-cycle pair's
+        ``expected * expected * iterations * weight``, the cycles in
+        first-placement order and their residents in ``placed`` order,
+        then each cycle's port-cap penalties: an access whose same-group
+        demand, counting itself and the earlier residents that can fire
+        with it, exceeds its cap costs :data:`PORT_VIOLATION_PENALTY`.
+        """
+        by_cycle: Dict[int, List[int]] = {}
+        for i, cycle in placed:
+            by_cycle.setdefault(cycle, []).append(i)
+        total = sum(self._conflict_terms(by_cycle))
+        for members in by_cycle.values():
+            cost = 0.0
+            for index, i in enumerate(members):
+                cofire = self.cofire[i]
+                demand = 1 + sum(cofire[j] for j in members[:index])
+                if demand > self.caps[i]:
+                    cost += PORT_VIOLATION_PENALTY
+            total += cost
+        return total
+
+    def _conflict_terms(self, by_cycle: Dict[int, List[int]]) -> Iterator[float]:
+        iterations = self.iterations
+        expected, tag_of, group_of = self.expected, self.tag_of, self.group_of
+        for members in by_cycle.values():
+            for index, i in enumerate(members):
+                excluded = self.exclusive[tag_of[i]]
+                weights = self.weights[group_of[i]]
+                e_i = expected[i]
+                for j in members[index + 1 :]:
+                    if not excluded[tag_of[j]]:
+                        yield e_i * expected[j] * iterations * weights[group_of[j]]
+
 
 def _tables(graph: BodyFlowGraph, weight_fn: WeightFn, cap_fn: PortCapFn) -> _Tables:
     """The graph's held kernel tables for these weight and cap values.
@@ -382,40 +388,6 @@ class _Kernel:
             if cycles[s] <= latest:
                 latest = cycles[s] - 1
         return earliest, latest
-
-    def schedule_cost(self, cycles: List[int], key_order: Iterable[int]) -> float:
-        """:meth:`BodySchedule.cost` of ``cycles`` with keys in ``key_order``.
-
-        The same ``sum()`` over the same terms in the same order, then
-        the same per-cycle penalties, so the float is bit-equal under
-        either ``sum()`` (left to right before Python 3.12, compensated
-        since).
-        """
-        by_cycle: Dict[int, List[int]] = {}
-        for i in key_order:
-            by_cycle.setdefault(cycles[i], []).append(i)
-        total = sum(self._conflict_terms(by_cycle))
-        for members in by_cycle.values():
-            cost = 0.0
-            for index, i in enumerate(members):
-                if self.demand(i, members[:index]) > self.caps[i]:
-                    cost += PORT_VIOLATION_PENALTY
-            total += cost
-        return total
-
-    def _conflict_terms(self, by_cycle: Dict[int, List[int]]) -> Iterator[float]:
-        """Each same-cycle pair's ``weight * weight_fn(a, b)``, in cost() order."""
-        tables = self.tables
-        iterations = tables.iterations
-        expected, tag_of, group_of = tables.expected, tables.tag_of, tables.group_of
-        for members in by_cycle.values():
-            for index, i in enumerate(members):
-                excluded = tables.exclusive[tag_of[i]]
-                weights = tables.weights[group_of[i]]
-                e_i = expected[i]
-                for j in members[index + 1 :]:
-                    if not excluded[tag_of[j]]:
-                        yield e_i * expected[j] * iterations * weights[group_of[j]]
 
     # ------------------------------------------------------------------
     def seed_greedy(self) -> List[int]:
@@ -699,7 +671,7 @@ def balance(
         kernel.improve(cycles)
         kernel.repair(cycles)
         kernel.improve(cycles)
-        cost = kernel.schedule_cost(cycles, key_order)
+        cost = kernel.tables.schedule_cost((i, cycles[i]) for i in key_order)
         if cost < best_cost:
             best_cost = cost
             best = key_order, cycles

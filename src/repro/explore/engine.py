@@ -27,10 +27,11 @@ stores the batch in one :meth:`EvaluationCache.store_many`.  A batch's
 result therefore depends neither on ``workers`` nor on batch size.
 
 The oracle runs of one dispatch share SCBD work: the whole serial
-batch, or each contiguous pool chunk in its worker, gets one set of
-body tables (:class:`~repro.dtse.scbd.distribution.BodyTable`, one per
-off-chip group set), so neighbouring points that repeat a loop body at
-the same body budget balance it once.  A table lives only as long as
+batch, or each pool chunk (one program's points) in its worker, gets
+one set of body tables
+(:class:`~repro.dtse.scbd.distribution.BodyTable`, one per off-chip
+group set), so neighbouring points that repeat a loop body at the same
+body budget balance it once.  A table lives only as long as
 its dispatch: nothing carries over from one :meth:`Explorer.evaluate_many`
 call to the next.
 
@@ -687,31 +688,27 @@ def _evaluate_chunk(requests: Sequence[PmmRequest]) -> List[_Outcome]:
     return [_evaluate_request(request, tables) for request in requests]
 
 
-def _pool_chunks(
-    requests: Sequence[PmmRequest], workers: int
-) -> List[Sequence[PmmRequest]]:
-    """A pooled batch cut into contiguous chunks, in order.
+def _pool_chunks(requests: Sequence[PmmRequest], workers: int) -> List[List[int]]:
+    """A pooled batch's request indices, one list per pool task.
 
-    Chunks end where the program object changes, so the points of one
-    program share their chunk's body tables.  A run of one program longer
-    than ``ceil(n / workers)`` points is split into near-equal pieces of
-    at most that many, so every worker gets work.
+    The points of one program object go to one task, in order of first
+    appearance, so they share its body tables also where the batch
+    interleaves programs.  A program with more than ``ceil(n / workers)``
+    points is split into near-equal pieces of at most that many, so
+    every worker gets work.
     """
+    by_program: Dict[int, List[int]] = {}
+    for index, request in enumerate(requests):
+        by_program.setdefault(id(request.program), []).append(index)
     limit = math.ceil(len(requests) / workers)
-    chunks: List[Sequence[PmmRequest]] = []
-    start = 0
-    while start < len(requests):
-        program = requests[start].program
-        end = start + 1
-        while end < len(requests) and requests[end].program is program:
-            end += 1
-        size = end - start
+    chunks: List[List[int]] = []
+    for indices in by_program.values():
+        size = len(indices)
         pieces = math.ceil(size / limit)
         chunks.extend(
-            requests[start + size * k // pieces : start + size * (k + 1) // pieces]
+            indices[size * k // pieces : size * (k + 1) // pieces]
             for k in range(pieces)
         )
-        start = end
     return chunks
 
 
@@ -1047,17 +1044,17 @@ class Explorer:
     ) -> Dict[str, float]:
         """Run the oracle for ``fresh``, pin the outcomes in ``known``.
 
-        Outcomes come from the pool, one contiguous chunk of requests
-        per task (:func:`_pool_chunks`: one program object per chunk),
-        flattened back into point order, when the pool pays off; else
-        from a lazy in-process generator (also when the pool is lost).
-        The serial batch shares one set of body tables, and each pool
-        chunk one of its own.  One loop consumes the outcomes in point
-        order, counting each as a miss; with
-        ``on_error="raise"`` it raises at the first failure and consumes
-        nothing after it.  What it consumed is stored in one
-        :meth:`EvaluationCache.store_many`, also on a raise or an
-        interrupt.  Returns the oracle seconds per computed outcome.
+        Outcomes come from the pool, one chunk of requests per task
+        (:func:`_pool_chunks`: the points of one program object), put
+        back into point order, when the pool pays off; else from a lazy
+        in-process generator (also when the pool is lost).  The serial
+        batch shares one set of body tables, and each pool chunk one of
+        its own.  One loop consumes the outcomes in point order,
+        counting each as a miss; with ``on_error="raise"`` it raises at
+        the first failure and consumes nothing after it.  What it
+        consumed is stored in one :meth:`EvaluationCache.store_many`,
+        also on a raise or an interrupt.  Returns the oracle seconds per
+        computed outcome.
         """
         requests = list(fresh.values())
         # The generator is lazy: each oracle call runs only when the
@@ -1075,12 +1072,12 @@ class Explorer:
         ):
             pool = self._ensure_pool()
             chunks = _pool_chunks(requests, self.workers)
+            tasks = [[requests[index] for index in chunk] for chunk in chunks]
             try:
-                outcomes = [
-                    outcome
-                    for chunk in pool.map(_evaluate_chunk, chunks)
-                    for outcome in chunk
-                ]
+                by_index: Dict[int, _Outcome] = {}
+                for chunk, computed in zip(chunks, pool.map(_evaluate_chunk, tasks)):
+                    by_index.update(zip(chunk, computed))
+                outcomes = [by_index[index] for index in range(len(requests))]
             except (BrokenProcessPool, RuntimeError) as exc:
                 # BrokenProcessPool: a worker died under the batch.
                 # RuntimeError: recoverable only when the pool was shut

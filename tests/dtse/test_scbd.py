@@ -1,5 +1,6 @@
 """SCBD: flow graphs, balancing, conflict graphs, budget distribution."""
 
+import itertools
 import math
 
 import pytest
@@ -244,28 +245,42 @@ def test_btpc_decision_round_counts(study, monkeypatch):
     ],
 )
 def test_pool_chunks_keep_programs_together(app, workers, expected):
-    """Chunks cut at program-object boundaries, in point order.
+    """One task per program object, split past ceil(n / workers) points.
 
-    Each default space lists its points variant by variant, so a chunk
-    is one variant's run, split into near-equal pieces only when the
-    run holds more than ceil(n / workers) points (motion's one variant).
+    Each default space lists its points variant by variant; the same
+    requests interleaved variant by variant, as a strategy's neighbour
+    round mixes them, cut into the same chunks of the same requests.
     """
     space = Explorer.for_app(app).space
     explorer = Explorer(space)
     requests = [explorer.request_for(point) for point in space.points()]
     chunks = _pool_chunks(requests, workers)
     assert len(chunks) == expected
-    assert [id(r) for chunk in chunks for r in chunk] == [id(r) for r in requests]
+    assert [index for chunk in chunks for index in chunk] == list(range(len(requests)))
     limit = math.ceil(len(requests) / workers)
-    for chunk in chunks:
-        assert 0 < len(chunk) <= limit
-        assert len({id(request.program) for request in chunk}) == 1
     sizes = {}
     for chunk in chunks:
-        sizes.setdefault(id(chunk[0].program), []).append(len(chunk))
+        assert 0 < len(chunk) <= limit
+        programs = {id(requests[index].program) for index in chunk}
+        assert len(programs) == 1
+        sizes.setdefault(programs.pop(), []).append(len(chunk))
     assert len(sizes) == len(space.variant_names)
     for pieces in sizes.values():
         assert max(pieces) - min(pieces) <= 1
+
+    by_program = {}
+    for request in requests:
+        by_program.setdefault(id(request.program), []).append(request)
+    interleaved = [
+        request
+        for row in itertools.zip_longest(*by_program.values())
+        for request in row
+        if request is not None
+    ]
+    mixed = _pool_chunks(interleaved, workers)
+    assert [[id(interleaved[i]) for i in chunk] for chunk in mixed] == [
+        [id(requests[i]) for i in chunk] for chunk in chunks
+    ]
 
 
 def _reports(records):
@@ -274,15 +289,31 @@ def _reports(records):
 
 @pytest.mark.parametrize("app", ["cavity", "wavelet", "motion"])
 def test_pooled_batch_matches_serial(app, monkeypatch):
-    """Pool chunks balance with tables of their own; reports do not move."""
+    """Pool chunks balance with tables of their own; reports do not move.
+
+    Also for the points interleaved variant by variant, which the pool
+    regroups by program and must put back into point order.
+    """
     monkeypatch.setattr(Explorer, "MIN_PARALLEL_BATCH", 2)
     space = Explorer.for_app(app).space
-    serial = Explorer(space, on_error="skip").evaluate_many(space.points())
-    with Explorer(space, workers=2, on_error="skip") as explorer:
-        pooled = explorer.evaluate_many(space.points())
-        assert explorer._pool is not None
-    assert [record.error for record in pooled] == [record.error for record in serial]
-    assert _reports(pooled) == _reports(serial)
+    by_variant = {}
+    for point in space.points():
+        by_variant.setdefault(point.variant, []).append(point)
+    interleaved = [
+        point
+        for row in itertools.zip_longest(*by_variant.values())
+        for point in row
+        if point is not None
+    ]
+    for points in (space.points(), interleaved):
+        serial = Explorer(space, on_error="skip").evaluate_many(points)
+        with Explorer(space, workers=2, on_error="skip") as explorer:
+            pooled = explorer.evaluate_many(points)
+            assert explorer._pool is not None
+        assert [record.error for record in pooled] == [
+            record.error for record in serial
+        ]
+        assert _reports(pooled) == _reports(serial)
 
 
 def test_macp_report_feasibility(btpc_program, constraints):

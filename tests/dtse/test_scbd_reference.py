@@ -183,8 +183,9 @@ def _assert_handed_cost_matches(program, offchip, table):
 @given(drawn_weights((0, 1, 2, 3, 7)))
 @settings(deadline=None, max_examples=25, derandomize=True)
 def test_handed_cost_is_bodyschedule_cost_with_int_weights(drawn):
-    """A weight function that returns ints: the kernel's cost terms are
-    the same float-times-int products, summed by the same ``sum()``."""
+    """A weight function that returns ints: the tables' cost terms are
+    the reference's float-times-int products, summed by the same
+    ``sum()``."""
     _assert_handed_cost_matches(*drawn)
 
 
