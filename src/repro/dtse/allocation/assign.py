@@ -24,6 +24,7 @@ outside the allocation count.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -191,6 +192,34 @@ class AllocationResult:
 _OffchipLoad = Tuple[float, int, bool, int, float]
 
 
+class _ProgramInputs:
+    """What the allocator reads of a program alone.
+
+    The access counts and (words, width) per group, the group names in
+    name order with their mask bits, and the register-layer groups: the
+    groups that only foreground sites access, in name order.
+    """
+
+    __slots__ = ("program", "counts", "geometry", "names", "bit", "register_names")
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.counts: Dict[str, AccessCounts] = program.access_counts()
+        self.geometry = {g.name: (g.words, g.bitwidth) for g in program.groups}
+        self.names = sorted(self.geometry)
+        self.bit = {name: 1 << k for k, name in enumerate(self.names)}
+        background: Dict[str, bool] = {g.name: False for g in program.groups}
+        touched: Dict[str, bool] = {g.name: False for g in program.groups}
+        for nest in program.nests:
+            for access in nest.iter_accesses():
+                touched[access.group] = True
+                if not access.foreground:
+                    background[access.group] = True
+        self.register_names = sorted(
+            name for name in background if touched[name] and not background[name]
+        )
+
+
 class _Evaluator:
     """Caches per-bin cost evaluation for the local search.
 
@@ -202,33 +231,26 @@ class _Evaluator:
 
     def __init__(
         self,
-        program: Program,
+        inputs: _ProgramInputs,
         conflicts: ConflictGraph,
         library: MemoryLibrary,
         frame_time_s: float,
         nest_loads: Sequence[NestLoad],
         area_weight: float,
     ) -> None:
-        self.program = program
         self.conflicts = conflicts
         self.library = library
         self.frame_time_s = frame_time_s
         self.nest_loads = tuple(nest_loads)
         self.area_weight = area_weight
-        self.counts: Dict[str, AccessCounts] = program.access_counts()
-        self.geometry = {g.name: (g.words, g.bitwidth) for g in program.groups}
-        self.names = sorted(self.geometry)
-        self.bit = {name: 1 << k for k, name in enumerate(self.names)}
+        self.counts = inputs.counts
+        self.geometry = inputs.geometry
+        self.names = inputs.names
+        self.bit = inputs.bit
         self._bins: Dict[Tuple[bool, int], Optional[MemoryBin]] = {}
         self._scalars: Dict[int, Optional[float]] = {}
 
     # ------------------------------------------------------------------
-    def mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= self.bit[name]
-        return mask
-
     def rates(self, groups: Iterable[str]) -> Tuple[float, float]:
         # Name order, not set order: the float sums must not follow
         # string hashing.
@@ -248,6 +270,12 @@ class _Evaluator:
             )
             evaluated = self._bins[key] = self._evaluate(groups, offchip)
             return evaluated
+
+    def release(self) -> None:
+        """Drop the cached bins, scalar costs and port demands."""
+        self._bins.clear()
+        self._scalars.clear()
+        self.conflicts.clear_port_memo()
 
     def scalar(self, mask: int) -> Optional[float]:
         """An on-chip bin's power plus weighted area (0.0 when empty).
@@ -405,23 +433,6 @@ class _Evaluator:
         )
 
 
-def _partitions(items: Sequence[str]) -> Iterable[List[List[str]]]:
-    """All set partitions of ``items`` (used for the few off-chip groups)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _partitions(rest):
-        for index in range(len(partition)):
-            yield (
-                partition[:index]
-                + [[first] + partition[index]]
-                + partition[index + 1 :]
-            )
-        yield [[first]] + partition
-
-
 def _scalar(bins: Iterable[MemoryBin], area_weight: float) -> float:
     total = 0.0
     for memory_bin in bins:
@@ -429,48 +440,15 @@ def _scalar(bins: Iterable[MemoryBin], area_weight: float) -> float:
     return total
 
 
-def _assign_offchip(
-    groups: Sequence[str],
-    evaluator: _Evaluator,
-    area_weight: float,
-    sharing: bool = False,
-) -> List[MemoryBin]:
-    """Partition the (few) off-chip groups over DRAM parts.
-
-    Default policy matches the paper's tool: one signal per off-chip
-    memory.  ``sharing=True`` explores all set partitions instead
-    (chip-count-constrained designs may want it).
-    """
-    if not groups:
-        return []
-    if not sharing:
-        bins = []
-        for name in sorted(groups):
-            evaluated = evaluator.evaluate(evaluator.bit[name], offchip=True)
-            if evaluated is None:
-                raise AssignmentError(f"group {name!r} fits no off-chip part")
-            bins.append(evaluated)
-        return bins
-    best: Optional[List[MemoryBin]] = None
-    best_cost = float("inf")
-    for partition in _partitions(sorted(groups)):
-        bins = []
-        legal = True
-        for part in partition:
-            evaluated = evaluator.evaluate(evaluator.mask(part), offchip=True)
-            if evaluated is None:
-                legal = False
-                break
-            bins.append(evaluated)
-        if not legal:
-            continue
-        cost = _scalar(bins, area_weight)
-        if cost < best_cost:
-            best_cost = cost
-            best = bins
-    if best is None:
-        raise AssignmentError("no legal off-chip assignment exists")
-    return best
+def _assign_offchip(groups: Sequence[str], evaluator: _Evaluator) -> List[MemoryBin]:
+    """One DRAM memory per off-chip group, the paper tool's policy."""
+    bins = []
+    for name in sorted(groups):
+        evaluated = evaluator.evaluate(evaluator.bit[name], offchip=True)
+        if evaluated is None:
+            raise AssignmentError(f"group {name!r} fits no off-chip part")
+        bins.append(evaluated)
+    return bins
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -579,6 +557,141 @@ def _local_search(
     return current
 
 
+#: One (count, order) search's on-chip bins and their scalar cost, or
+#: None when it ends in no legal assignment of that many memories.
+_Outcome = Optional[Tuple[Tuple[MemoryBin, ...], float]]
+
+
+class _AllocatorState:
+    """What the allocator derives from one allocator input, once.
+
+    The bin evaluator (with its caches), the register bins, the on-chip
+    and off-chip groups, the off-chip bins or the error assigning them
+    raised, and the three greedy orders of the on-chip groups.  None of
+    it reads ``n_onchip``.  :meth:`outcome` runs the search for one
+    (memory count, greedy order) pair on first use and holds what it
+    found, so every count and order is searched at most once; once all
+    are held, the evaluator's caches are freed.
+    """
+
+    def __init__(
+        self,
+        inputs: _ProgramInputs,
+        conflicts: ConflictGraph,
+        library: MemoryLibrary,
+        frame_time_s: float,
+        nest_loads: Tuple[NestLoad, ...],
+        area_weight: float,
+    ) -> None:
+        evaluator = self.evaluator = _Evaluator(
+            inputs, conflicts, library, frame_time_s, nest_loads, area_weight
+        )
+        register_names = inputs.register_names
+        self.register_bins = [evaluator.register_bin(name) for name in register_names]
+        remaining = [g for g in inputs.program.groups if g.name not in register_names]
+        onchip_groups, offchip_groups = library.split(remaining)
+        self.onchip_names = [g.name for g in onchip_groups]
+        self.offchip_bins: List[MemoryBin] = []
+        self.error: Optional[AssignmentError] = None
+        try:
+            self.offchip_bins = _assign_offchip(
+                [g.name for g in offchip_groups], evaluator
+            )
+        except AssignmentError as exc:
+            # Held without its traceback, whose frames hold this state.
+            self.error = exc.with_traceback(None)
+        geometry = evaluator.geometry
+        traffic = {name: evaluator.counts[name].total for name in self.onchip_names}
+        self.orders = (
+            sorted(self.onchip_names, key=lambda n: (-geometry[n][1], -traffic[n])),
+            sorted(self.onchip_names, key=lambda n: -traffic[n]),
+            sorted(self.onchip_names, key=lambda n: (-traffic[n], geometry[n][1])),
+        )
+        self._outcomes: Dict[Tuple[int, int], _Outcome] = {}
+
+    def outcome(self, count: int, order: int) -> _Outcome:
+        """The greedy seed in ``orders[order]`` refined by local search."""
+        key = (count, order)
+        try:
+            return self._outcomes[key]
+        except KeyError:
+            pass
+        found = None
+        evaluator = self.evaluator
+        seeded = _greedy_onchip(count, evaluator, self.orders[order])
+        if seeded is not None:
+            bins = []
+            legal = True
+            for mask in _local_search(seeded, evaluator):
+                evaluated = evaluator.evaluate(mask, offchip=False)
+                if evaluated is None:
+                    legal = False
+                    break
+                bins.append(evaluated)
+            if legal and len(bins) == count:
+                found = (tuple(bins), _scalar(bins, evaluator.area_weight))
+        self._outcomes[key] = found
+        if len(self._outcomes) == len(self.orders) * len(self.onchip_names):
+            # Every search is held, so no bin is evaluated again: free
+            # the caches (the evaluator stays, holding the keyed objects).
+            evaluator.release()
+        return found
+
+
+class AllocationTable:
+    """Allocator work shared by the :func:`assign_memories` calls given it.
+
+    Entries are keyed by object identity and keep their objects alive
+    (the program through its inputs, the rest through the evaluator):
+
+    * per program object, what the allocator reads of the program alone
+      (:class:`_ProgramInputs`);
+    * per allocator input (the program, conflict graph, nest loads and
+      library objects, the frame time and the area weight), an
+      :class:`_AllocatorState` with the outcome of every (count, order)
+      search run so far.
+
+    Calls that differ only in ``n_onchip`` (or in the label, the cycles
+    used or the budget they report) share one state.  Every state entry
+    is a pure function of its key, so a call through a shared table
+    returns what it would return through a private one.
+    """
+
+    def __init__(self) -> None:
+        self._programs: Dict[int, _ProgramInputs] = {}
+        #: (program, conflict graph, library, nest loads) ids, frame time
+        #: and area weight -> state.
+        self._states: Dict[Tuple[int, ...], _AllocatorState] = {}
+
+    def state(
+        self,
+        program: Program,
+        conflicts: ConflictGraph,
+        library: MemoryLibrary,
+        frame_time_s: float,
+        nest_loads: Tuple[NestLoad, ...],
+        area_weight: float,
+    ) -> _AllocatorState:
+        """The allocator input's state, built on first use."""
+        key = (
+            id(program),
+            id(conflicts),
+            id(library),
+            id(nest_loads),
+            frame_time_s,
+            area_weight,
+        )
+        state = self._states.get(key)
+        if state is None:
+            inputs = self._programs.get(id(program))
+            if inputs is None:
+                inputs = self._programs[id(program)] = _ProgramInputs(program)
+            state = self._states[key] = _AllocatorState(
+                inputs, conflicts, library, frame_time_s, nest_loads, area_weight
+            )
+        return state
+
+
 def assign_memories(
     program: Program,
     conflicts: ConflictGraph,
@@ -591,93 +704,62 @@ def assign_memories(
     cycle_budget: float = 0.0,
     label: str = "",
     seed: int = 0,
-    strict: bool = False,
-    offchip_sharing: bool = False,
+    table: Optional[AllocationTable] = None,
 ) -> AllocationResult:
     """Optimize the full memory architecture for ``program``.
 
     ``n_onchip`` fixes the number of on-chip memories (the Table 4
     exploration axis); ``None`` sweeps and returns the best; when the
-    requested count is infeasible the allocator grows it unless
-    ``strict``.  Register hierarchy layers (all-foreground groups) are
-    materialized as register files and never counted in ``n_onchip``.
+    requested count is infeasible the allocator grows it.  Register
+    hierarchy layers (all-foreground groups) are materialized as
+    register files and never counted in ``n_onchip``.
+
+    ``table`` shares the evaluator and the search outcomes with the other
+    calls given it (see :class:`AllocationTable`); without one the call
+    uses a private table.  The loop below runs its comparisons over the
+    held outcomes in the same order either way, so the result does not
+    depend on the table.
     """
-    evaluator = _Evaluator(
-        program, conflicts, library, frame_time_s, nest_loads, area_weight
+    if table is None:
+        table = AllocationTable()
+    # Keyed by the loads' identity: run_pmm's runs pass the tuple held
+    # per SCBD input and share; loads passed as a list share nothing.
+    state = table.state(
+        program, conflicts, library, frame_time_s, tuple(nest_loads), area_weight
     )
-
-    # Identify register-layer groups: accessed by foreground sites only.
-    background: Dict[str, bool] = {g.name: False for g in program.groups}
-    touched: Dict[str, bool] = {g.name: False for g in program.groups}
-    for nest in program.nests:
-        for access in nest.iter_accesses():
-            touched[access.group] = True
-            if not access.foreground:
-                background[access.group] = True
-    register_names = sorted(
-        name for name in background if touched[name] and not background[name]
-    )
-    register_bins = [evaluator.register_bin(name) for name in register_names]
-
-    remaining = [g for g in program.groups if g.name not in register_names]
-    onchip_groups, offchip_groups = library.split(remaining)
-    onchip_names = [g.name for g in onchip_groups]
-    offchip_names = [g.name for g in offchip_groups]
-
-    offchip_bins = _assign_offchip(
-        offchip_names, evaluator, area_weight, sharing=offchip_sharing
-    )
+    if state.error is not None:
+        raise copy.copy(state.error)
+    onchip_names = state.onchip_names
 
     if not onchip_names:
-        counts = [0]
+        counts: Sequence[int] = (0,)
     elif n_onchip is None:
-        counts = list(range(1, len(onchip_names) + 1))
+        counts = range(1, len(onchip_names) + 1)
     else:
         if n_onchip < 1 or n_onchip > len(onchip_names):
             raise AssignmentError(
                 f"cannot allocate {n_onchip} on-chip memories for "
                 f"{len(onchip_names)} groups"
             )
-        if strict:
-            counts = [n_onchip]
-        else:
-            # A designer asked for N but bandwidth may demand more
-            # parallel memories: grow until feasible.
-            counts = list(range(n_onchip, len(onchip_names) + 1))
+        # A designer asked for N but bandwidth may demand more parallel
+        # memories: grow until feasible.
+        counts = range(n_onchip, len(onchip_names) + 1)
 
-    traffic = {name: evaluator.counts[name].total for name in onchip_names}
-    orders = [
-        sorted(onchip_names, key=lambda n: (-evaluator.geometry[n][1], -traffic[n])),
-        sorted(onchip_names, key=lambda n: -traffic[n]),
-        sorted(onchip_names, key=lambda n: (-traffic[n], evaluator.geometry[n][1])),
-    ]
-
-    best_bins: Optional[List[MemoryBin]] = None
+    best_bins: Optional[Tuple[MemoryBin, ...]] = None
     best_cost = float("inf")
     for count in counts:
         if count == 0:
             if 0.0 < best_cost:
                 best_cost = 0.0
-                best_bins = []
+                best_bins = ()
             continue
         found_at_count = False
-        for order in orders:
-            seeded = _greedy_onchip(count, evaluator, order)
-            if seeded is None:
-                continue
-            refined = _local_search(seeded, evaluator)
-            bins = []
-            legal = True
-            for mask in refined:
-                evaluated = evaluator.evaluate(mask, offchip=False)
-                if evaluated is None:
-                    legal = False
-                    break
-                bins.append(evaluated)
-            if not legal or len(bins) != count:
+        for order in range(len(state.orders)):
+            outcome = state.outcome(count, order)
+            if outcome is None:
                 continue
             found_at_count = True
-            cost = _scalar(bins, area_weight)
+            bins, cost = outcome
             if cost < best_cost - 1e-9:
                 best_cost = cost
                 best_bins = bins
@@ -692,14 +774,14 @@ def assign_memories(
 
     scalar_cost = (
         best_cost
-        + _scalar(offchip_bins, area_weight)
-        + _scalar(register_bins, area_weight)
+        + _scalar(state.offchip_bins, area_weight)
+        + _scalar(state.register_bins, area_weight)
     )
     return AllocationResult(
         label=label or program.name,
         onchip=tuple(sorted(best_bins, key=lambda b: -b.area_mm2)),
-        registers=tuple(register_bins),
-        offchip=tuple(sorted(offchip_bins, key=lambda b: -b.power_mw)),
+        registers=tuple(state.register_bins),
+        offchip=tuple(sorted(state.offchip_bins, key=lambda b: -b.power_mw)),
         cycles_used=cycles_used,
         cycle_budget=cycle_budget,
         scalar_cost=scalar_cost,

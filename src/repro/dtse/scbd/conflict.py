@@ -157,6 +157,10 @@ class ConflictGraph:
             peak = max(peak, demand)
         return peak
 
+    def clear_port_memo(self) -> None:
+        """Forget the co-firing demands :meth:`ports_for` memoized."""
+        self._cofire.clear()
+
     def total_weight(self) -> float:
         return sum(self.edges.values())
 

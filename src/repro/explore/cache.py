@@ -238,6 +238,21 @@ def _check_key(key: str) -> None:
         raise ValueError(f"cache key {key!r} does not match [0-9A-Za-z_-]+")
 
 
+def _make_shard(root: str, prefix: str) -> str:
+    """The shard directory ``root/prefix``, made if missing.
+
+    Creates the root too when it is gone (a sibling removed the corpus).
+    """
+    shard = f"{root}{os.sep}{prefix}"
+    try:
+        os.mkdir(shard)
+    except FileExistsError:
+        pass
+    except FileNotFoundError:
+        os.makedirs(shard, exist_ok=True)
+    return shard
+
+
 def _mtime(entry: os.DirEntry) -> float:
     # A sibling process may unlink a shard between scan and stat;
     # treat the vanished file as the oldest.
@@ -356,30 +371,44 @@ class DiskCache:
         self.store_many({key: payload})
 
     def store_many(self, payloads: Mapping[str, Mapping[str, Any]]) -> None:
-        """Write a batch; every key is checked before any file is written."""
+        """Write a batch; every key is checked before any file is written.
+
+        Each shard directory the batch writes to is made once.
+        """
         for key in payloads:
             _check_key(key)
+        root = os.fspath(self.root)
+        shards: Dict[str, str] = {}
         for key, payload in payloads.items():
-            self._write(key, payload)
+            shard = shards.get(key[:2])
+            if shard is None:
+                shard = shards[key[:2]] = _make_shard(root, key[:2])
+            self._write(shard, key, pack_payload(payload))
         if self.max_entries is not None and payloads:
             self._evict(payloads)
 
-    def _write(self, key: str, payload: Mapping[str, Any]) -> None:
-        shard = self.root / key[:2]
-        shard.mkdir(parents=True, exist_ok=True)
-        blob = pack_payload(payload)
-        fd, temp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
+    def _write(self, shard: str, key: str, blob: bytes) -> None:
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(temp_name, self._file(key, COMPACT_SUFFIX))
+            fd, temp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        except FileNotFoundError:
+            # A sibling's clear() removed the shard after the batch made it.
+            os.makedirs(shard, exist_ok=True)
+            fd, temp_name = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        try:
+            try:
+                view = memoryview(blob)
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
+            os.replace(temp_name, f"{shard}{os.sep}{key}{COMPACT_SUFFIX}")
         except BaseException:
             self._unlink(temp_name)
             raise
         # A rewrite supersedes the entry's legacy .json shard, which
         # would otherwise resurface if the new record were ever
         # discarded as corrupt.
-        self._unlink(self._file(key, JSON_SUFFIX))
+        self._unlink(f"{shard}{os.sep}{key}{JSON_SUFFIX}")
         self.stats.stores += 1
 
     def _evict(self, stored: Mapping[str, Any]) -> None:

@@ -26,14 +26,15 @@ counts them, fails on the first error in ``on_error="raise"`` mode and
 stores the batch in one :meth:`EvaluationCache.store_many`.  A batch's
 result therefore depends neither on ``workers`` nor on batch size.
 
-The oracle runs of one dispatch share SCBD work: the whole serial
-batch, or each pool chunk (one program's points) in its worker, gets
-one set of body tables
-(:class:`~repro.dtse.scbd.distribution.BodyTable`, one per off-chip
-group set), so neighbouring points that repeat a loop body at the same
-body budget balance it once.  A table lives only as long as
-its dispatch: nothing carries over from one :meth:`Explorer.evaluate_many`
-call to the next.
+The oracle runs of one dispatch share SCBD and allocation work: the
+whole serial batch, or each pool chunk (one program's points) in its
+worker, gets one :class:`~repro.dtse.pipeline.DispatchTables`.  Its
+body tables (one per off-chip group set) let neighbouring points that
+repeat a loop body at the same body budget balance it once; its
+distributions and allocator states let points that differ only in
+``n_onchip`` distribute once and run each on-chip search once.  The
+tables live only as long as their dispatch: nothing carries over from
+one :meth:`Explorer.evaluate_many` call to the next.
 
 Search strategies (:mod:`repro.explore.strategies`) sit on top: a
 :class:`SearchDriver` steps one through the budgeted propose/observe
@@ -69,7 +70,7 @@ from typing import (
 
 from ..costs.report import INFEASIBLE_MARKER, CostReport
 from ..dtse.allocation.assign import DEFAULT_AREA_WEIGHT
-from ..dtse.pipeline import BodyTables, PmmRequest
+from ..dtse.pipeline import DispatchTables, PmmRequest
 from .cache import REMOTE_SCHEME, CacheBackend, DiskCache, resolve_backend
 from .fingerprint import canonical_value, fingerprint_request
 from .pareto import knee_point, pareto_indices
@@ -673,7 +674,7 @@ class ExplorationError(RuntimeError):
 _Outcome = Tuple[Optional[CostReport], float, Optional[str]]
 
 
-def _evaluate_request(request: PmmRequest, tables: BodyTables) -> _Outcome:
+def _evaluate_request(request: PmmRequest, tables: DispatchTables) -> _Outcome:
     start = time.perf_counter()
     try:
         report = request.run(tables=tables).report
@@ -683,8 +684,8 @@ def _evaluate_request(request: PmmRequest, tables: BodyTables) -> _Outcome:
 
 
 def _evaluate_chunk(requests: Sequence[PmmRequest]) -> List[_Outcome]:
-    """One pool chunk's outcomes, in order; its runs share body tables."""
-    tables: BodyTables = {}
+    """One pool chunk's outcomes, in order; its runs share one set of tables."""
+    tables = DispatchTables()
     return [_evaluate_request(request, tables) for request in requests]
 
 
@@ -692,7 +693,7 @@ def _pool_chunks(requests: Sequence[PmmRequest], workers: int) -> List[List[int]
     """A pooled batch's request indices, one list per pool task.
 
     The points of one program object go to one task, in order of first
-    appearance, so they share its body tables also where the batch
+    appearance, so they share its dispatch tables also where the batch
     interleaves programs.  A program with more than ``ceil(n / workers)``
     points is split into near-equal pieces of at most that many, so
     every worker gets work.
@@ -752,8 +753,10 @@ class Explorer:
     :meth:`evaluate_many` keeps no state on the explorer.  Only
     :meth:`run` appends, to :attr:`failures`, the ``(point, error)``
     pairs its rounds skipped, once per round and point.  The oracle runs
-    of one serial batch, or of one pool chunk, share one set of SCBD
-    body tables, dropped when the batch or chunk is done.
+    of one serial batch, or of one pool chunk, share one
+    :class:`~repro.dtse.pipeline.DispatchTables` (body tables,
+    distributions and allocator states), dropped when the batch or
+    chunk is done.
     """
 
     #: Fewest misses worth spinning up a cold pool for.
@@ -1048,8 +1051,8 @@ class Explorer:
         (:func:`_pool_chunks`: the points of one program object), put
         back into point order, when the pool pays off; else from a lazy
         in-process generator (also when the pool is lost).  The serial
-        batch shares one set of body tables, and each pool chunk one of
-        its own.  One loop consumes the outcomes in point order,
+        batch shares one set of dispatch tables, and each pool chunk one
+        of its own.  One loop consumes the outcomes in point order,
         counting each as a miss; with ``on_error="raise"`` it raises at
         the first failure and consumes nothing after it.  What it
         consumed is stored in one :meth:`EvaluationCache.store_many`,
@@ -1059,7 +1062,7 @@ class Explorer:
         requests = list(fresh.values())
         # The generator is lazy: each oracle call runs only when the
         # loop below consumes its outcome.
-        tables: BodyTables = {}
+        tables = DispatchTables()
         outcomes: Iterable[_Outcome] = (
             _evaluate_request(request, tables) for request in requests
         )

@@ -4,8 +4,10 @@ A copy, comments aside, of the bin evaluator (a cache keyed by frozen
 name sets, the off-chip occupancy summed again for every (part, banks)
 pair), of the greedy on-chip seed, of the move/swap local search and of
 ``assign_memories``, as they stood before the allocator ran on
-bitmasks.  Port demand comes from ``scbd_reference.ports_for``, the
-per-slot branch-and-bound query, so the reference runs no fast code.
+bitmasks, less the ``strict`` and ``offchip_sharing`` options that no
+caller set and that both allocators have dropped.  Port demand comes
+from ``scbd_reference.ports_for``, the per-slot branch-and-bound query,
+so the reference runs no fast code.
 Only tests import it: ``test_allocation_reference.py`` checks that
 ``repro.dtse.allocation.assign`` returns exactly what this module
 returns (the same bins and a bit-equal scalar cost), because
@@ -26,7 +28,6 @@ from repro.dtse.allocation.assign import (
     AssignmentError,
     MemoryBin,
     NestLoad,
-    _partitions,
     _scalar,
     page_factor,
 )
@@ -173,39 +174,14 @@ class _Evaluator:
 def _assign_offchip(
     groups: Sequence[str],
     evaluator: _Evaluator,
-    area_weight: float,
-    sharing: bool = False,
 ) -> List[MemoryBin]:
-    if not groups:
-        return []
-    if not sharing:
-        bins = []
-        for name in sorted(groups):
-            evaluated = evaluator.evaluate(frozenset((name,)), offchip=True)
-            if evaluated is None:
-                raise AssignmentError(f"group {name!r} fits no off-chip part")
-            bins.append(evaluated)
-        return bins
-    best: Optional[List[MemoryBin]] = None
-    best_cost = float("inf")
-    for partition in _partitions(sorted(groups)):
-        bins = []
-        legal = True
-        for part in partition:
-            evaluated = evaluator.evaluate(frozenset(part), offchip=True)
-            if evaluated is None:
-                legal = False
-                break
-            bins.append(evaluated)
-        if not legal:
-            continue
-        cost = _scalar(bins, area_weight)
-        if cost < best_cost:
-            best_cost = cost
-            best = bins
-    if best is None:
-        raise AssignmentError("no legal off-chip assignment exists")
-    return best
+    bins = []
+    for name in sorted(groups):
+        evaluated = evaluator.evaluate(frozenset((name,)), offchip=True)
+        if evaluated is None:
+            raise AssignmentError(f"group {name!r} fits no off-chip part")
+        bins.append(evaluated)
+    return bins
 
 
 def _greedy_onchip(
@@ -324,8 +300,6 @@ def assign_memories(
     cycle_budget: float = 0.0,
     label: str = "",
     seed: int = 0,
-    strict: bool = False,
-    offchip_sharing: bool = False,
 ) -> AllocationResult:
     evaluator = _Evaluator(program, conflicts, library, frame_time_s, nest_loads)
 
@@ -346,9 +320,7 @@ def assign_memories(
     onchip_names = [g.name for g in onchip_groups]
     offchip_names = [g.name for g in offchip_groups]
 
-    offchip_bins = _assign_offchip(
-        offchip_names, evaluator, area_weight, sharing=offchip_sharing
-    )
+    offchip_bins = _assign_offchip(offchip_names, evaluator)
 
     if not onchip_names:
         counts = [0]
@@ -360,10 +332,7 @@ def assign_memories(
                 f"cannot allocate {n_onchip} on-chip memories for "
                 f"{len(onchip_names)} groups"
             )
-        if strict:
-            counts = [n_onchip]
-        else:
-            counts = list(range(n_onchip, len(onchip_names) + 1))
+        counts = list(range(n_onchip, len(onchip_names) + 1))
 
     traffic = {name: evaluator.counts[name].total for name in onchip_names}
     orders = [

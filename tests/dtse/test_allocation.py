@@ -10,6 +10,8 @@ import pytest
 import repro
 
 from repro.dtse.allocation.assign import (
+    DEFAULT_AREA_WEIGHT,
+    AllocationTable,
     AssignmentError,
     assign_memories,
     build_nest_loads,
@@ -91,6 +93,56 @@ def test_auto_allocation_beats_or_matches_fixed():
     for count in (1, 2, 3, 4):
         fixed = _allocate(program, 10_000, n_onchip=count)
         assert auto.scalar_cost <= fixed.scalar_cost + 1e-6
+
+
+def test_shared_table_replays_held_searches_and_frees_caches():
+    """Calls that differ only in n_onchip share one allocator state.
+
+    A fixed count searches from that count up; a call over every count
+    completes the state's searches, which frees its bin caches and the
+    conflict graph's port memo; later calls replay the held outcomes and
+    evaluate no bin again.
+    """
+    program = _toy_program(4)
+    library = default_library()
+    distribution = distribute(
+        program,
+        2_000,
+        make_weight_fn(program, library),
+        make_cap_fn(program, library),
+    )
+    loads = build_nest_loads(program, distribution.budgets)
+    table = AllocationTable()
+
+    def allocate(n_onchip):
+        return assign_memories(
+            program=program,
+            conflicts=distribution.conflict_graph,
+            library=library,
+            frame_time_s=1e-3,
+            nest_loads=loads,
+            n_onchip=n_onchip,
+            table=table,
+        )
+
+    fixed = allocate(3)
+    state = table.state(
+        program,
+        distribution.conflict_graph,
+        library,
+        1e-3,
+        loads,
+        DEFAULT_AREA_WEIGHT,
+    )
+    assert state.evaluator._bins
+    auto = allocate(None)
+    assert not state.evaluator._bins and not state.evaluator._scalars
+    assert not distribution.conflict_graph._cofire
+    assert allocate(3) == fixed
+    assert allocate(None) == auto
+    assert not state.evaluator._bins
+    assert auto == _allocate(program, 2_000)
+    assert fixed == _allocate(program, 2_000, n_onchip=3)
 
 
 def test_strict_rejects_infeasible():

@@ -4,8 +4,9 @@
 local search and ``assign_memories`` that the bitmask search, the
 per-set off-chip loads and the closed-form port query replaced.  Equal
 means equal: the same bins (groups, modules, ports, floats) in the same
-order and a bit-equal scalar cost, or the same error, on drawn programs
-and on every point the golden files pin.
+order and a bit-equal scalar cost, or the same error, on drawn programs,
+on drawn dispatches that share one set of tables, and on every point the
+golden files pin.
 """
 
 from itertools import combinations
@@ -18,21 +19,29 @@ from repro.api import Explorer
 from repro.dtse.allocation.assign import (
     DEFAULT_AREA_WEIGHT,
     _Evaluator,
+    _ProgramInputs,
     assign_memories,
     build_nest_loads,
 )
-from repro.dtse.pipeline import make_cap_fn, make_weight_fn, offchip_names
+from repro.dtse.pipeline import (
+    DispatchTables,
+    make_cap_fn,
+    make_weight_fn,
+    offchip_names,
+    run_pmm,
+)
 from repro.dtse.scbd import BodyFlowGraph, InfeasibleBudget, distribute
 from repro.dtse.scbd.distribution import BodyTable
 from repro.ir import ProgramBuilder
-from repro.memlib.library import default_library
+from repro.memlib.library import MemoryLibrary, default_library
+from repro.memlib.onchip import OnChipGenerator, OnChipTechnology
 
 TAGS = (None, "H", "V", "D", "D:0", "D:1")
 
 
 @st.composite
-def drawn_allocations(draw):
-    """A program, its off-chip groups, a cycle budget and allocator options.
+def drawn_programs(draw):
+    """A program and its off-chip groups.
 
     Groups differ in size and width, so bins differ in module, area and
     power, and nests draw same-cycle accesses under tight budgets, so
@@ -66,19 +75,26 @@ def drawn_allocations(draw):
                 )
             )
     program = builder.build()
-    offchip = draw(st.sets(st.sampled_from(groups)))
+    return program, draw(st.sets(st.sampled_from(groups)))
+
+
+@st.composite
+def drawn_allocations(draw):
+    """A program, its off-chip groups, a budget fraction and allocator options."""
+    program, offchip = draw(drawn_programs())
     fraction = draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)))
     options = {
         "n_onchip": draw(st.sampled_from((None, 1, 2, 3))),
-        "strict": draw(st.booleans()),
-        "offchip_sharing": draw(st.booleans()),
         "frame_time_s": draw(st.sampled_from((1e-3, 4e-2))),
     }
     return program, offchip, fraction, options
 
 
-def _placed_library(offchip):
-    library = default_library()
+def _placed_library(offchip, library=None):
+    """``library`` (the default one when None) with exactly ``offchip``
+    placed off chip."""
+    if library is None:
+        library = default_library()
 
     def is_offchip(group):
         return group.name in offchip
@@ -95,25 +111,36 @@ def _outcome(allocate, **kwargs):
         return type(exc), str(exc)
 
 
-def _assert_same_allocation(**kwargs):
-    fast = _outcome(assign_memories, **kwargs)
-    slow = _outcome(reference.assign_memories, **kwargs)
+def _assert_same_outcome(fast, slow):
+    """Equal allocations, floats bit for bit, or the same error."""
     assert fast == slow
     if not isinstance(fast, tuple):
         assert fast.scalar_cost.hex() == slow.scalar_cost.hex()
         assert [b.power_mw.hex() for b in fast.onchip + fast.offchip] == [
             b.power_mw.hex() for b in slow.onchip + slow.offchip
         ]
+
+
+def _assert_same_allocation(**kwargs):
+    fast = _outcome(assign_memories, **kwargs)
+    _assert_same_outcome(fast, _outcome(reference.assign_memories, **kwargs))
     return fast
 
 
-def _distribute(program, library, fraction):
-    """SCBD at ``fraction`` of the way from the dependence-limited minimum
-    to fully sequential bodies: (cycle budget, distribution)."""
+def _cycle_budget(program, fraction):
+    """``fraction`` of the way from the dependence-limited minimum to fully
+    sequential bodies; one cycle below the minimum when None."""
     bodies = [BodyFlowGraph(nest) for nest in program.nests]
     lowest = sum(body.macp * body.iterations for body in bodies)
+    if fraction is None:
+        return lowest - 1
     highest = sum(body.sequential_length * body.iterations for body in bodies)
-    cycle_budget = lowest + (highest - lowest) * fraction
+    return lowest + (highest - lowest) * fraction
+
+
+def _distribute(program, library, fraction):
+    """SCBD at ``fraction``, fresh: (cycle budget, distribution)."""
+    cycle_budget = _cycle_budget(program, fraction)
     weight_fn = make_weight_fn(program, library)
     cap_fn = make_cap_fn(program, library)
     return cycle_budget, distribute(program, cycle_budget, weight_fn, cap_fn)
@@ -155,17 +182,122 @@ def test_every_bin_evaluates_as_in_reference(drawn):
         options["frame_time_s"],
         build_nest_loads(program, distribution.budgets),
     )
-    fast = _Evaluator(*args, area_weight=DEFAULT_AREA_WEIGHT)
+    fast = _Evaluator(
+        _ProgramInputs(program), *args[1:], area_weight=DEFAULT_AREA_WEIGHT
+    )
     slow = reference._Evaluator(*args)
     names = sorted(group.name for group in program.groups)
     for size in range(1, len(names) + 1):
         for groups in combinations(names, size):
             for offchip_bin in (False, True):
-                evaluated = fast.evaluate(fast.mask(groups), offchip_bin)
+                mask = sum(fast.bit[name] for name in groups)
+                evaluated = fast.evaluate(mask, offchip_bin)
                 expected = slow.evaluate(frozenset(groups), offchip_bin)
                 assert evaluated == expected, (groups, offchip_bin)
                 if evaluated is not None:
                     assert evaluated.power_mw.hex() == expected.power_mw.hex()
+
+
+#: A second library: smaller fixed macro area and slower macros, so its
+#: allocations differ from the default library's in cost and legality.
+_OTHER_TECHNOLOGY = OnChipTechnology(fixed_area_mm2=0.3, cycle_base_ns=12.0)
+
+
+@st.composite
+def drawn_dispatches(draw):
+    """Runs of one program and off-chip set, as one dispatch makes them.
+
+    Two cycle budgets (one may sit below the dependence-limited
+    minimum), two libraries and 2-6 runs, each a drawn budget, library
+    and ``n_onchip``: None, a count in range, 0 or a count above the
+    program's groups.
+    """
+    program, offchip = draw(drawn_programs())
+    fractions = draw(
+        st.lists(st.sampled_from((None, 0.0, 0.2, 0.6, 1.0)), min_size=2, max_size=2)
+    )
+    counts = st.one_of(st.none(), st.integers(0, len(program.groups) + 1))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 1), counts),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    frame_time_s = draw(st.sampled_from((1e-3, 4e-2)))
+    return program, offchip, fractions, runs, frame_time_s
+
+
+def _run_outcome(program, cycle_budget, frame_time_s, **kwargs):
+    """run_pmm's result, or the type and text of the error it raised."""
+    try:
+        return run_pmm(program, cycle_budget, frame_time_s, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+
+
+@given(drawn_dispatches())
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_shared_tables_match_fresh_reference(drawn):
+    """Runs through one set of dispatch tables, in the drawn order.
+
+    Each must equal a fresh distribution followed by the reference
+    allocator: the held distribution the same budgets, assignments in
+    key order and conflict edges, the allocation the same bins and a
+    bit-equal scalar cost, or the same error type and text.
+    """
+    program, offchip, fractions, runs, frame_time_s = drawn
+    libraries = (
+        _placed_library(offchip),
+        _placed_library(
+            offchip, MemoryLibrary(onchip=OnChipGenerator(_OTHER_TECHNOLOGY))
+        ),
+    )
+    budgets = [_cycle_budget(program, fraction) for fraction in fractions]
+    tables = DispatchTables()
+    for budget_index, library_index, n_onchip in runs:
+        cycle_budget = budgets[budget_index]
+        library = libraries[library_index]
+        shared = _run_outcome(
+            program,
+            cycle_budget,
+            frame_time_s,
+            library=library,
+            n_onchip=n_onchip,
+            tables=tables,
+        )
+        weight_fn = make_weight_fn(program, library)
+        cap_fn = make_cap_fn(program, library)
+        try:
+            fresh = distribute(program, cycle_budget, weight_fn, cap_fn)
+        except InfeasibleBudget as exc:
+            assert shared == (InfeasibleBudget, str(exc))
+            continue
+        slow = _outcome(
+            reference.assign_memories,
+            program=program,
+            conflicts=fresh.conflict_graph,
+            library=library,
+            frame_time_s=frame_time_s,
+            nest_loads=build_nest_loads(program, fresh.budgets),
+            n_onchip=n_onchip,
+            cycles_used=fresh.cycles_used,
+            cycle_budget=cycle_budget,
+            label=program.name,
+        )
+        if isinstance(shared, tuple):
+            assert shared == slow
+            continue
+        held = shared.distribution
+        assert list(held.budgets.items()) == list(fresh.budgets.items())
+        for name, schedule in held.schedules.items():
+            assert list(schedule.assignment.items()) == list(
+                fresh.schedules[name].assignment.items()
+            ), name
+        assert list(held.conflict_graph.edges.items()) == list(
+            fresh.conflict_graph.edges.items()
+        )
+        _assert_same_outcome(shared.allocation, slow)
 
 
 def _assert_points_match(space, points):

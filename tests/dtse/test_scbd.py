@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.dtse.allocation.assign as assign
 import repro.dtse.pipeline as pipeline
 import repro.dtse.scbd.balancing as balancing
 import repro.dtse.scbd.distribution as distribution
@@ -158,7 +159,11 @@ def test_distribute_raises_below_macp():
 
 
 def _count_balance(monkeypatch):
-    """Record every balance call as (nest object, off-chip set, budget)."""
+    """Record every balance call as (nest object, off-chip set, budget).
+
+    Returns the balance calls and the oracle's distribute calls, as
+    (program, off-chip set).
+    """
     calls = []
     current = []
     balance_fn = distribution.balance
@@ -182,7 +187,31 @@ def _count_balance(monkeypatch):
 
     monkeypatch.setattr(distribution, "balance", counted_balance)
     monkeypatch.setattr(pipeline, "distribute", counted_distribute)
-    return calls
+    return calls, current
+
+
+def _count_allocation(monkeypatch):
+    """Count allocator evaluators built, bins evaluated and local searches."""
+    counts = {"evaluators": 0, "bins": 0, "searches": 0}
+
+    class CountedEvaluator(assign._Evaluator):
+        def __init__(self, *args):
+            counts["evaluators"] += 1
+            super().__init__(*args)
+
+        def _evaluate(self, groups, offchip):
+            counts["bins"] += 1
+            return super()._evaluate(groups, offchip)
+
+    local_search = assign._local_search
+
+    def counted_local_search(*args):
+        counts["searches"] += 1
+        return local_search(*args)
+
+    monkeypatch.setattr(assign, "_Evaluator", CountedEvaluator)
+    monkeypatch.setattr(assign, "_local_search", counted_local_search)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -198,7 +227,7 @@ def test_batch_balances_each_body_budget_once(app, balanced, monkeypatch):
     second explorer over the same space, nest objects included, makes
     as many calls again.
     """
-    calls = _count_balance(monkeypatch)
+    calls, _ = _count_balance(monkeypatch)
     space = Explorer.for_app(app).space
     for _ in range(2):
         explorer = Explorer(space, on_error="skip")
@@ -209,13 +238,53 @@ def test_batch_balances_each_body_budget_once(app, balanced, monkeypatch):
         calls.clear()
 
 
+@pytest.mark.parametrize(
+    "app, inputs, balanced, bins, searches",
+    [("cavity", 10, 74, 64, 24), ("wavelet", 8, 60, 24, 0), ("motion", 4, 6, 38, 30)],
+)
+def test_batch_distributes_and_allocates_each_input_once(
+    app, inputs, balanced, bins, searches, monkeypatch
+):
+    """Points that differ only in n_onchip share SCBD and allocation.
+
+    A cold default sweep as one evaluate_many call runs the oracle for
+    all 20/16/12 points (cavity/wavelet/motion), and each run used to
+    distribute, build an evaluator and search on its own.  Now the
+    batch distributes once and builds one evaluator per SCBD input, and
+    runs each (count, order) search once per evaluator (the parent
+    evaluated 112/48/86 bins in 24/0/48 searches).  The tables belong
+    to one batch: a second evaluate_many on the same explorer, its
+    cache cleared, does every piece of work again.
+    """
+    calls, distributed = _count_balance(monkeypatch)
+    work = _count_allocation(monkeypatch)
+    space = Explorer.for_app(app).space
+    explorer = Explorer(space, on_error="skip")
+
+    def counts():
+        return (
+            len(distributed),
+            work["evaluators"],
+            len(calls),
+            work["bins"],
+            work["searches"],
+        )
+
+    explorer.evaluate_many(space.points())
+    assert counts() == (inputs, inputs, balanced, bins, searches)
+    explorer.cache.clear()
+    explorer.evaluate_many(space.points())
+    assert counts() == (2 * inputs, 2 * inputs, 2 * balanced, 2 * bins, 2 * searches)
+
+
 def test_btpc_decision_round_counts(study, monkeypatch):
     """The four btpc decision rows, each a cold point of its own explorer.
 
-    130 balance calls, and kernel tables built once per (flow graph,
-    weight and cap values): 36 builds, not one per balance call.
+    130 balance calls, one distribution each, and kernel tables built
+    once per (flow graph, weight and cap values): 36 builds, not one per
+    balance call.
     """
-    calls = _count_balance(monkeypatch)
+    calls, distributed = _count_balance(monkeypatch)
     builds = []
 
     class CountedTables(balancing._Tables):
@@ -229,6 +298,7 @@ def test_btpc_decision_round_counts(study, monkeypatch):
         point = next(p for p in step.points if p.display_label == step.select)
         Explorer(study.space).evaluate(point)
     assert len(calls) == 130
+    assert len(distributed) == 4
     keys = {(id(graph), weights, caps) for graph, weights, caps in builds}
     assert len(keys) == len(builds) == 36
 

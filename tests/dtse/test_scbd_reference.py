@@ -19,7 +19,7 @@ import scbd_reference as reference
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import get_app
-from repro.dtse.pipeline import make_cap_fn, make_weight_fn, run_pmm
+from repro.dtse.pipeline import DispatchTables, make_cap_fn, make_weight_fn, run_pmm
 from repro.dtse.scbd import (
     BodyFlowGraph,
     ConflictGraph,
@@ -372,7 +372,7 @@ def test_shared_tables_match_private_tables_and_reference(sequence):
     reference's, bit for bit.
     """
     tables = {}
-    run_tables = {}
+    run_tables = DispatchTables()
     for program, offchip, fraction in sequence:
         cycle_budget = _cycle_budget(program, fraction)
         weight_fn, cap_fn = _cost_fns(program, offchip)

@@ -7,12 +7,14 @@ the explorer, including a warm-start from a *separate process*.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro.explore.cache as cache_module
 from repro.api import (
     DesignSpace,
     DiskCache,
@@ -188,6 +190,71 @@ def test_disk_cache_clear_removes_sibling_shards_and_empty_dirs(tmp_path):
     assert fresh.get("abcd") is None
     assert fresh.get("efgh") is None
     assert fresh.get("ijkl") is None
+
+
+def test_disk_cache_batch_shares_a_shard_directory(tmp_path):
+    """Two keys of one batch in one shard directory: both are written."""
+    cache = DiskCache(tmp_path)
+    cache.store_many({"abcd": _payload(1), "ab99": _payload(2), "cdef": _payload(3)})
+    assert sorted(path.name for path in (tmp_path / "ab").iterdir()) == [
+        f"ab99{COMPACT_SUFFIX}",
+        f"abcd{COMPACT_SUFFIX}",
+    ]
+    assert cache.stats.stores == 3
+    fresh = DiskCache(tmp_path)
+    assert fresh.lookup_many(["abcd", "ab99", "cdef"]) == {
+        "abcd": _payload(1),
+        "ab99": _payload(2),
+        "cdef": _payload(3),
+    }
+
+
+def test_disk_cache_stores_after_clear_removed_the_shards(tmp_path):
+    """clear() removes the shard directories; the next batch remakes them."""
+    cache = DiskCache(tmp_path)
+    cache.store_many({"abcd": _payload(1), "efgh": _payload(2)})
+    cache.clear()
+    assert sorted(tmp_path.iterdir()) == []
+    cache.store_many({"abcd": _payload(3), "ab12": _payload(4)})
+    assert DiskCache(tmp_path).lookup_many(["abcd", "ab12", "efgh"]) == {
+        "abcd": _payload(3),
+        "ab12": _payload(4),
+    }
+
+
+def test_disk_cache_stores_after_the_root_was_removed(tmp_path):
+    """A store recreates the root when a sibling removed the whole corpus."""
+    root = tmp_path / "corpus" / "cache"
+    cache = DiskCache(root)
+    cache.put("abcd", _payload(1))
+    shutil.rmtree(tmp_path / "corpus")
+    cache.store_many({"abcd": _payload(2), "ab12": _payload(3)})
+    assert cache.stats.stores == 3
+    assert DiskCache(root).lookup_many(["abcd", "ab12"]) == {
+        "abcd": _payload(2),
+        "ab12": _payload(3),
+    }
+    assert list(root.rglob("*.tmp")) == []
+
+
+def test_disk_cache_store_survives_a_sibling_clear_mid_batch(tmp_path, monkeypatch):
+    """A sibling's clear() between two writes of one batch removes the
+    shard the batch made; the second write makes it again."""
+    cache = DiskCache(tmp_path)
+    sibling = DiskCache(tmp_path)
+    pack = cache_module.pack_payload
+    packed = []
+
+    def pack_then_clear(payload):
+        packed.append(payload)
+        if len(packed) == 2:
+            sibling.clear()
+        return pack(payload)
+
+    monkeypatch.setattr(cache_module, "pack_payload", pack_then_clear)
+    cache.store_many({"abcd": _payload(1), "ab12": _payload(2)})
+    assert cache.stats.stores == 2
+    assert DiskCache(tmp_path).lookup_many(["abcd", "ab12"]) == {"ab12": _payload(2)}
 
 
 def test_disk_cache_refresh_orders_sibling_shards_by_mtime(tmp_path):
