@@ -733,7 +733,7 @@ class StrategyProposePurity(Rule):
         "driver evaluates them, charges the budget and feeds the "
         "records back through observe().  Inside propose() (and any "
         "same-class helper it reaches) the rule flags oracle entry "
-        "points (run_pmm, run_pmm_request, PmmRequest, request.run()), "
+        "points (run_pmm, PmmRequest, request.run()), "
         "evaluation-engine calls (evaluate, evaluate_many, "
         "evaluate_program) and cache-backend surfaces (lookup/"
         "lookup_many/store/store_many, or get/put on a cache-named "
@@ -742,7 +742,7 @@ class StrategyProposePurity(Rule):
         "there by design."
     )
 
-    _ORACLE = {"run_pmm", "run_pmm_request", "PmmRequest"}
+    _ORACLE = {"run_pmm", "PmmRequest"}
     _EVALUATE = {"evaluate", "evaluate_many", "evaluate_program"}
     _BACKEND = {"lookup", "lookup_many", "store", "store_many"}
 

@@ -44,7 +44,7 @@ The pieces:
 from .apps.registry import AppSpec, Transform, get_app, list_apps, register_app
 from .costs.report import CostReport, MemoryCost, render_cost_table
 from .dtse.macp import analyze_macp
-from .dtse.pipeline import PmmRequest, PmmResult, run_pmm, run_pmm_request
+from .dtse.pipeline import PmmRequest, PmmResult, run_pmm
 from .explore.btpc_study import BtpcStudy
 from .explore.cache import (
     CacheBackend,
@@ -134,5 +134,4 @@ __all__ = [
     "register_app",
     "render_cost_table",
     "run_pmm",
-    "run_pmm_request",
 ]

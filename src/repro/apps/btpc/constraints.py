@@ -39,10 +39,6 @@ class BtpcConstraints:
         """
         return int(self.frame_time_s * self.clock_hz)
 
-    @property
-    def cycle_time_s(self) -> float:
-        return 1.0 / self.clock_hz
-
     def access_rate_hz(self, accesses: float) -> float:
         """Average access rate for a per-frame access count."""
         return accesses / self.frame_time_s

@@ -9,7 +9,7 @@ the ones that get predicted and entropy-coded.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 #: Detail pixel types by lattice parity (y % 2, x % 2).
 TYPE_H = 0  # (0, 1): horizontal neighbours are on the coarse lattice
@@ -77,40 +77,3 @@ def neighbour_offsets(pixel_type: int) -> Sequence[Tuple[int, int]]:
         return ((-1, -1), (-1, 1), (1, -1), (1, 1))
     raise ValueError(f"unknown pixel type {pixel_type}")
 
-
-def coarse_index(y: int, x: int, dy: int, dx: int, coarse_shape: Tuple[int, int]):
-    """Map a level-``k`` neighbour position to level ``k+1`` indices.
-
-    Positions are clamped at the image border (replication padding).
-    """
-    height, width = coarse_shape
-    cy = max(0, min((y + dy) // 2, height - 1))
-    cx = max(0, min((x + dx) // 2, width - 1))
-    return cy, cx
-
-
-def build_levels(image, make_array) -> List:
-    """Materialise the pyramid arrays and fill them by decimation.
-
-    ``make_array(level, shape)`` returns a writable 2-D array-like for
-    one level.  Level 0 is copied from ``image`` pixel by pixel (this is
-    the ``image -> pyr`` traffic of the specification); level ``k+1``
-    reads the even lattice of level ``k``.
-    """
-    size = image.shape[0]
-    levels = num_levels(size)
-    arrays = []
-    level0 = make_array(0, (size, size))
-    for y in range(size):
-        for x in range(size):
-            level0[y, x] = image[y, x]
-    arrays.append(level0)
-    for level in range(1, levels):
-        shape = level_shape(size, level)
-        coarse = make_array(level, shape)
-        previous = arrays[level - 1]
-        for y in range(shape[0]):
-            for x in range(shape[1]):
-                coarse[y, x] = previous[2 * y, 2 * x]
-        arrays.append(coarse)
-    return arrays

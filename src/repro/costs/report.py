@@ -179,7 +179,7 @@ class CostReport:
 # ----------------------------------------------------------------------
 #: First bytes of every compact record.  The lead byte is a UTF-8
 #: continuation byte, so no JSON (or any UTF-8) text can ever start
-#: with the magic — format sniffing is unambiguous.
+#: with the magic: a text file never decodes as a record.
 COMPACT_MAGIC = b"\x93RPC"
 COMPACT_VERSION = 1
 
@@ -315,11 +315,6 @@ def pack_payload(payload: Mapping[str, Any]) -> bytes:
     return _HEADER.pack(COMPACT_MAGIC, COMPACT_VERSION, _RECORD_GENERIC) + blob
 
 
-def is_compact_payload(data: bytes) -> bool:
-    """True when ``data`` carries the compact-record magic."""
-    return data[: len(COMPACT_MAGIC)] == COMPACT_MAGIC
-
-
 class _Reader:
     """Sequential decoder over one compact record's bytes."""
 
@@ -349,7 +344,7 @@ def unpack_payload(data: bytes) -> Dict[str, Any]:
 
     Raises :class:`CompactDecodeError` on anything that is not a whole,
     well-formed record of a known version — callers treat that exactly
-    like a corrupt JSON shard.
+    like an unreadable file.
     """
     try:
         magic, version, record = _HEADER.unpack_from(data, 0)

@@ -354,7 +354,7 @@ class _Evaluator:
         #: banks -> (fits, effective access count): the same for every part.
         occupancies: Dict[int, Tuple[bool, float]] = {}
         best: Optional[MemoryBin] = None
-        for part in self.library.offchip.candidates(words, width):
+        for part in self.library.offchip.candidates(width):
             depth_banks = -(-words // part.words)
             for banks in range(max(ports, depth_banks), MAX_BANKS + 1):
                 occupancy = occupancies.get(banks)
@@ -703,7 +703,6 @@ def assign_memories(
     cycles_used: float = 0.0,
     cycle_budget: float = 0.0,
     label: str = "",
-    seed: int = 0,
     table: Optional[AllocationTable] = None,
 ) -> AllocationResult:
     """Optimize the full memory architecture for ``program``.

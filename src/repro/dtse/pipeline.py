@@ -76,7 +76,6 @@ class PmmRequest:
     n_onchip: Optional[int] = None
     area_weight: float = DEFAULT_AREA_WEIGHT
     label: str = ""
-    seed: int = 0
 
     def relabeled(self, label: str) -> "PmmRequest":
         return replace(self, label=label)
@@ -90,14 +89,8 @@ class PmmRequest:
             n_onchip=self.n_onchip,
             area_weight=self.area_weight,
             label=self.label,
-            seed=self.seed,
             tables=tables,
         )
-
-
-def run_pmm_request(request: PmmRequest) -> PmmResult:
-    """Module-level entry point so process pools can pickle the call."""
-    return request.run()
 
 
 def offchip_names(program: Program, library: MemoryLibrary) -> FrozenSet[str]:
@@ -206,7 +199,6 @@ def run_pmm(
     n_onchip: Optional[int] = None,
     area_weight: float = DEFAULT_AREA_WEIGHT,
     label: str = "",
-    seed: int = 0,
     tables: Optional[DispatchTables] = None,
 ) -> PmmResult:
     """Run SCBD + allocation/assignment and return the cost feedback.
@@ -250,7 +242,6 @@ def run_pmm(
         cycles_used=distribution.cycles_used,
         cycle_budget=cycle_budget,
         label=label or program.name,
-        seed=seed,
         table=tables.allocation,
     )
     return PmmResult(

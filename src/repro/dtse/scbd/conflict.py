@@ -125,13 +125,6 @@ class ConflictGraph:
         key = (group_a, group_b) if group_a <= group_b else (group_b, group_a)
         return self.edges.get(key, 0.0)
 
-    def self_conflict(self, group: str) -> float:
-        return self.edges.get((group, group), 0.0)
-
-    def port_requirement(self, group: str) -> int:
-        """Ports a memory holding only ``group`` needs."""
-        return self.ports_for((group,))
-
     def ports_for(self, groups: Iterable[str]) -> int:
         """Ports a memory holding all of ``groups`` needs.
 
@@ -160,9 +153,6 @@ class ConflictGraph:
     def clear_port_memo(self) -> None:
         """Forget the co-firing demands :meth:`ports_for` memoized."""
         self._cofire.clear()
-
-    def total_weight(self) -> float:
-        return sum(self.edges.values())
 
     def clique_lower_bound(self) -> int:
         """Greedy lower bound on single-port memories needed.

@@ -8,9 +8,8 @@ itself; this module owns the optional *persistent* store behind it:
 * :class:`DiskCache` — a plain content-addressed file store (sharded
   files, atomic writes, corruption-tolerant reads; no index, no
   in-memory copy) that keeps sweeps warm across *processes and runs*.
-  Entries are written as compact payload records
-  (:mod:`repro.costs.report`'s struct-packed codec); legacy ``.json``
-  shards stay readable, so old cache directories remain valid.
+  Entries are compact payload records (:mod:`repro.costs.report`'s
+  struct-packed codec), the one format it reads and writes.
 * :class:`RemoteCache` — the **network tier**: a client for the
   :mod:`repro.cacheserver` server, so sweeps stay warm across
   *machines*.  A probe batch is one synchronous ``GET`` round trip and
@@ -37,7 +36,6 @@ backend is automatically persistence-capable.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import socket
@@ -63,16 +61,14 @@ from ..cacheserver import protocol as wire
 from ..costs.report import (
     FrameError,
     frame_length,
-    is_compact_payload,
     pack_frame,
     pack_payload,
     unpack_payload,
 )
 
-#: Shard-file suffix of compact payload records (the only format
-#: written); legacy ``.json`` shards stay readable.
+#: Shard-file suffix of compact payload records, the one format a
+#: :class:`DiskCache` reads and writes.
 COMPACT_SUFFIX = ".rpc"
-JSON_SUFFIX = ".json"
 
 
 # ----------------------------------------------------------------------
@@ -265,27 +261,23 @@ def _mtime(entry: os.DirEntry) -> float:
 class DiskCache:
     """Content-addressed file store under ``root``, safe across runs.
 
-    Layout is sharded by key prefix — ``root/<key[:2]>/<key>.rpc``
-    (compact payload records) or ``<key>.json`` (legacy shards) — so
-    directories stay small at scale.  Keys must match
-    ``[0-9A-Za-z_-]+``; any other key raises :class:`ValueError` before
-    the filesystem is touched.  The store keeps no index and no
-    in-memory copy: opening one costs a ``mkdir``, and :meth:`get`
-    opens the key's ``.rpc`` file, then its legacy ``.json`` file.
-    :meth:`put` writes compact records only, through a same-directory
-    temp file plus ``os.replace``, so a crashed writer can never leave
-    a half-written shard.  A file that cannot be read or decoded is
-    counted in ``stats.corrupt``, unlinked, and the other format is
-    tried; a key with no readable file is a miss.
+    Layout is sharded by key prefix — ``root/<key[:2]>/<key>.rpc``, one
+    compact payload record per key — so directories stay small at
+    scale.  Keys must match ``[0-9A-Za-z_-]+``; any other key raises
+    :class:`ValueError` before the filesystem is touched.  The store
+    keeps no index and no in-memory copy: opening one costs a
+    ``mkdir``, and :meth:`get` opens the key's one record file.
+    :meth:`put` writes through a same-directory temp file plus
+    ``os.replace``, so a crashed writer can never leave a half-written
+    record.  A record that cannot be read or decoded is counted in
+    ``stats.corrupt``, unlinked, and reported as a miss.  Files the
+    store does not write (any other suffix) are never read, counted,
+    evicted or removed.
 
     ``max_entries`` (optional) bounds the number of stored keys: each
     store batch ends with one directory pass that unlinks the least
-    recently stored keys (oldest shard mtime) beyond the bound.
+    recently stored keys (oldest record mtime) beyond the bound.
     """
-
-    #: Read order when a key exists in both formats (a legacy shard
-    #: left behind next to its compact rewrite).
-    _SUFFIXES = (COMPACT_SUFFIX, JSON_SUFFIX)
 
     def __init__(
         self,
@@ -300,63 +292,50 @@ class DiskCache:
         self.stats = CacheStats()
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _file(self, key: str, suffix: str) -> Path:
-        return self.root / key[:2] / f"{key}{suffix}"
-
-    def _scan(self) -> Tuple[List[str], Dict[str, List[os.DirEntry]]]:
+    def _scan(self) -> Tuple[List[str], Dict[str, os.DirEntry]]:
         """One ``os.scandir`` pass over the shard directories.
 
-        Returns the shard directories and, per key, its ``.rpc`` and
-        ``.json`` files; temp files are skipped.  A shard that a
-        sibling process removes mid-pass is skipped too.
+        Returns the shard directories and each key's ``.rpc`` record;
+        temp files and files of other suffixes are skipped.  A shard
+        that a sibling process removes mid-pass is skipped too.
         """
         try:
             with os.scandir(self.root) as listing:
                 shards = [entry.path for entry in listing if entry.is_dir()]
         except OSError:
             return [], {}
-        files: Dict[str, List[os.DirEntry]] = {}
+        records: Dict[str, os.DirEntry] = {}
         for shard in shards:
             try:
                 with os.scandir(shard) as listing:
                     for entry in listing:
                         key, suffix = os.path.splitext(entry.name)
-                        if suffix in self._SUFFIXES:
-                            files.setdefault(key, []).append(entry)
+                        if suffix == COMPACT_SUFFIX:
+                            records[key] = entry
             except OSError:
                 continue
-        return shards, files
+        return shards, records
 
     def __len__(self) -> int:
         return len(self._scan()[1])
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _decode(data: bytes) -> Dict[str, Any]:
-        """Decode one shard's bytes, whatever format it was written in."""
-        if is_compact_payload(data):
-            return unpack_payload(data)
-        payload = json.loads(data.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("cache entry is not a JSON object")
-        return payload
-
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         _check_key(key)
-        for suffix in self._SUFFIXES:
-            path = self._file(key, suffix)
-            try:
-                payload = self._decode(path.read_bytes())
-            except FileNotFoundError:
-                continue
-            except (OSError, ValueError):  # unreadable, or not a record
-                self.stats.corrupt += 1
-                self._unlink(path)
-                continue
-            self.stats.hits += 1
-            return payload
-        self.stats.misses += 1
-        return None
+        path = f"{self.root}{os.sep}{key[:2]}{os.sep}{key}{COMPACT_SUFFIX}"
+        try:
+            with open(path, "rb") as handle:
+                payload = unpack_payload(handle.read())
+        except FileNotFoundError:
+            self.stats.misses += 1
+            return None
+        except (OSError, ValueError):  # unreadable, or not a record
+            self.stats.corrupt += 1
+            self._unlink(path)
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        return payload
 
     def lookup_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
         """Bulk :meth:`get`: one probe per unique key, stats included."""
@@ -405,50 +384,44 @@ class DiskCache:
         except BaseException:
             self._unlink(temp_name)
             raise
-        # A rewrite supersedes the entry's legacy .json shard, which
-        # would otherwise resurface if the new record were ever
-        # discarded as corrupt.
-        self._unlink(f"{shard}{os.sep}{key}{JSON_SUFFIX}")
         self.stats.stores += 1
 
     def _evict(self, stored: Mapping[str, Any]) -> None:
         """Unlink the least recently stored keys beyond ``max_entries``.
 
-        A key's recency is its newest shard mtime (ties broken by key).
+        A key's recency is its record's mtime (ties broken by key).
         The batch just stored ranks newest, in store order: writes made
         within one filesystem clock tick share an mtime.
         """
-        _, files = self._scan()
-        excess = len(files) - self.max_entries
+        _, records = self._scan()
+        excess = len(records) - self.max_entries
         if excess <= 0:
             return
         older = sorted(
-            (key for key in files if key not in stored),
-            key=lambda key: (max(_mtime(entry) for entry in files[key]), key),
+            (key for key in records if key not in stored),
+            key=lambda key: (_mtime(records[key]), key),
         )
-        newest = [key for key in stored if key in files]
+        newest = [key for key in stored if key in records]
         for key in (older + newest)[:excess]:
-            for entry in files[key]:
-                self._unlink(entry.path)
+            self._unlink(records[key].path)
             self.stats.evictions += 1
 
     @staticmethod
-    def _unlink(path: Union[str, Path]) -> None:
+    def _unlink(path: str) -> None:
         try:
             os.unlink(path)
         except OSError:
             pass
 
     def clear(self) -> None:
-        """Remove every entry, including shards written by siblings.
+        """Remove every entry, including records written by siblings.
 
         Emptied shard directories are removed too, so a cleared cache
-        leaves nothing but its root behind.
+        leaves nothing but its root and files it did not write behind.
         """
-        shards, files = self._scan()
-        for entries in files.values():
-            for entry in entries:
-                self._unlink(entry.path)
+        shards, records = self._scan()
+        for entry in records.values():
+            self._unlink(entry.path)
         for shard in shards:
             try:
                 os.rmdir(shard)

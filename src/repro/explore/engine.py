@@ -769,7 +769,6 @@ class Explorer:
         workers: int = 1,
         cache: Union[None, str, Path, CacheBackend, EvaluationCache] = None,
         area_weight: float = DEFAULT_AREA_WEIGHT,
-        seed: int = 0,
         on_error: str = "raise",
     ) -> None:
         if workers < 1:
@@ -785,7 +784,6 @@ class Explorer:
         else:
             self.cache = EvaluationCache(backend=cache)
         self.area_weight = area_weight
-        self.seed = seed
         self.on_error = on_error
         self.failures: List[Tuple[DesignPoint, str]] = []
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -883,7 +881,6 @@ class Explorer:
             n_onchip=point.n_onchip,
             area_weight=self.area_weight,
             label=point.display_label,
-            seed=self.seed,
         )
 
     # ------------------------------------------------------------------
@@ -897,10 +894,11 @@ class Explorer:
         :meth:`request_for` per point, but the batch shares everything
         shareable.  The canonical program and library fragments are
         fetched **once per distinct axis value** (not per point), the
-        knob segments — area weight, frame time, seed, each distinct
-        cycle budget and on-chip count — are serialized once, and each
-        point then pays one string join plus one SHA-256.  No
-        :class:`PmmRequest` (or any other per-point object) is
+        knob segments — area weight, frame time, each distinct cycle
+        budget and on-chip count — are serialized once, and each point
+        then pays one string join plus one SHA-256.  The keys are
+        sorted, so the blob ends with the program fragment and ``}``.
+        No :class:`PmmRequest` (or any other per-point object) is
         constructed.
         """
         space = self.space
@@ -910,7 +908,6 @@ class Explorer:
             f'{{"area_weight":{dumps(float(self.area_weight))},"cycle_budget":'
         )
         frame_mid = f',"frame_time_s":{dumps(float(space.frame_time_s))},"library":'
-        suffix = f',"seed":{dumps(self.seed)}}}'
         budget_txt: Dict[float, str] = {}
         onchip_txt: Dict[Optional[int], str] = {}
         library_json: Dict[str, str] = {}
@@ -938,7 +935,7 @@ class Explorer:
                     space.fingerprint_program_json(point.variant)
                 )
             blob = "".join(
-                (prefix, budget, frame_mid, library, onchip, program, suffix)
+                (prefix, budget, frame_mid, library, onchip, program, "}")
             )
             fingerprints.append(sha256(blob.encode("utf-8")).hexdigest())
         return fingerprints

@@ -1,9 +1,10 @@
 """Content-addressed fingerprints for evaluation requests.
 
 Every oracle evaluation is addressed by a SHA-256 over a canonical JSON
-payload of (program structure, cycle budget, knobs, library).  The
-presentation label is excluded: the same organization evaluated under
-two names is still one oracle run.
+payload of exactly what the oracle reads: the program structure, the
+cycle budget, the frame time, the library and the knobs ``n_onchip``
+and ``area_weight``.  The presentation label is excluded: the same
+organization evaluated under two names is still one oracle run.
 
 Two construction paths produce **byte-identical** fingerprints:
 
@@ -16,12 +17,13 @@ Two construction paths produce **byte-identical** fingerprints:
   canonical-JSON fragments (program and library — everything that is
   invariant across a sweep) are computed **once** per object
   (:func:`cached_canonical_json`), and each point then pays a tiny knob
-  digest (budget, ``n_onchip``, ``area_weight``, seed) plus one hash
-  over the spliced blob.
+  digest (budget, ``n_onchip``, ``area_weight``) plus one hash over the
+  spliced blob.
 
-Because both paths hash the same serialized payload, existing
-:class:`~repro.explore.cache.DiskCache` directories and golden files
-stay valid.
+Both paths hash the same serialized payload, so an entry stored by one
+is found by the other.  An input added to or dropped from the payload
+changes every address: stores filled under the old payload miss once
+and refill.
 """
 
 from __future__ import annotations
@@ -192,7 +194,6 @@ def fingerprint_request(request: "PmmRequest") -> str:
         "library": canonical_value(request.library),
         "n_onchip": request.n_onchip,
         "area_weight": float(request.area_weight),
-        "seed": request.seed,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -221,9 +221,6 @@ class LoopNest:
         """Total accesses of one site over the whole nest."""
         return self.iterations * self.access(label).expected_accesses
 
-    def groups_touched(self) -> FrozenSet[str]:
-        return frozenset(access.group for access in self.iter_accesses())
-
     def predecessors(self) -> Dict[str, Tuple[str, ...]]:
         """Dependence predecessors per access label."""
         preds: Dict[str, list] = {a.label: [] for a in self.iter_accesses()}
@@ -282,6 +279,3 @@ class LoopNest:
         return replace(
             self, body=tuple(new_body), dependences=frozenset(new_edges)
         )
-
-    def with_dependences(self, extra: Iterator[Tuple[str, str]]) -> "LoopNest":
-        return replace(self, dependences=self.dependences | frozenset(extra))

@@ -10,7 +10,7 @@ alive at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .arrays import ArrayDecl, BasicGroup
 from .loops import Access, LoopNest
@@ -107,17 +107,6 @@ class Program:
     def total_accesses(self) -> float:
         return sum(count.total for count in self.access_counts().values())
 
-    def accesses_of(self, group: str) -> Iterator[Tuple[LoopNest, Access]]:
-        """All (nest, access) pairs targeting ``group``."""
-        for nest in self.nests:
-            for access in nest.iter_accesses():
-                if access.group == group:
-                    yield nest, access
-
-    def total_bits(self) -> int:
-        """Total background storage footprint in bits."""
-        return sum(group.bits for group in self.groups)
-
     # ------------------------------------------------------------------
     # Rewriting
     # ------------------------------------------------------------------
@@ -126,9 +115,6 @@ class Program:
 
     def with_nests(self, nests: Iterable[LoopNest]) -> "Program":
         return replace(self, nests=tuple(nests))
-
-    def with_arrays(self, arrays: Iterable[ArrayDecl]) -> "Program":
-        return replace(self, arrays=tuple(arrays))
 
     def with_groups_and_nests(
         self, groups: Iterable[BasicGroup], nests: Iterable[LoopNest]

@@ -4,14 +4,14 @@ Public names::
 
     MemoryModule, MemoryKind             -- module descriptors
     OnChipGenerator, OnChipTechnology    -- parametric SRAM generator
-    OffChipLibrary, OffChipConfig        -- EDO DRAM selection
+    OffChipLibrary                       -- the EDO DRAM parts on offer
     DramPart, EDO_DRAM_PARTS             -- the datasheet table
     MemoryLibrary, default_library       -- combined library + policy
 """
 
 from .library import MemoryLibrary, default_library
 from .module import MemoryKind, MemoryModule
-from .offchip import OffChipConfig, OffChipLibrary
+from .offchip import OffChipLibrary
 from .onchip import OnChipGenerator, OnChipTechnology, RegisterFileTechnology
 from .tables import EDO_DRAM_PARTS, DramPart
 
@@ -21,7 +21,6 @@ __all__ = [
     "MemoryKind",
     "MemoryLibrary",
     "MemoryModule",
-    "OffChipConfig",
     "OffChipLibrary",
     "OnChipGenerator",
     "OnChipTechnology",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..ir.arrays import BasicGroup
-from .offchip import OffChipConfig, OffChipLibrary
+from .offchip import OffChipLibrary
 from .onchip import OnChipGenerator, OnChipTechnology, RegisterFileTechnology
 from .module import MemoryModule
 
@@ -44,15 +44,6 @@ class MemoryLibrary:
 
     def generate_onchip(self, words: int, width: int, ports: int = 1) -> MemoryModule:
         return self.onchip.generate(words, width, ports)
-
-    def select_offchip(
-        self,
-        words: int,
-        width: int,
-        ports: int = 1,
-        access_rate_hz: float = 0.0,
-    ) -> OffChipConfig:
-        return self.offchip.select(words, width, ports, access_rate_hz)
 
 
 def default_library() -> MemoryLibrary:

@@ -1,130 +1,29 @@
-"""Off-chip DRAM selection and power evaluation.
+"""The off-chip EDO DRAM part table the allocator chooses from.
 
-Implements the paper's off-chip cost model: a table of EDO DRAM parts
-with datasheet power figures, derated by the actual access rate.  When a
-basic group needs more bandwidth (or more ports) than one part provides,
-an interleaved pair of parts is used; interleaving doubles the standby
-power and breaks page locality, which we model with a page-miss overhead
-factor on the dynamic power.
+The paper's off-chip cost model prices a basic group on one of these
+parts with its datasheet standby and active power, derated by the
+group's effective access rate.  The allocator does the pricing
+(``_Evaluator._evaluate_offchip`` in
+:mod:`repro.dtse.allocation.assign`): it banks deep groups over 1-4
+parts and applies page-mode factors to each nest's occupancy.  This
+module only holds the parts and answers which of them are wide enough.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .module import MemoryKind, MemoryModule
 from .tables import EDO_DRAM_PARTS, DramPart
 
 
-@dataclass(frozen=True)
-class OffChipConfig:
-    """A concrete off-chip configuration for one basic group."""
-
-    part: DramPart
-    #: Number of interleaved parts (1 = plain, 2 = dual-banked for an
-    #: extra port or extra bandwidth).
-    banks: int
-    #: Dynamic-power multiplier for broken page locality when banked.
-    interleave_overhead: float
-
-    @property
-    def name(self) -> str:
-        suffix = f" x{self.banks}" if self.banks > 1 else ""
-        return f"{self.part.part_number}{suffix}"
-
-    @property
-    def ports(self) -> int:
-        return self.banks
-
-    @property
-    def max_access_rate_hz(self) -> float:
-        return self.banks * self.part.max_access_rate_hz
-
-    def power_mw(self, access_rate_hz: float) -> float:
-        """Total power at the given aggregate access rate."""
-        if access_rate_hz < 0:
-            raise ValueError("access rate must be non-negative")
-        part = self.part
-        per_bank_rate = access_rate_hz / self.banks
-        duty = per_bank_rate / part.max_access_rate_hz
-        if self.banks > 1:
-            duty *= self.interleave_overhead
-        duty = min(duty, 1.0)
-        dynamic = duty * (part.active_mw - part.standby_mw)
-        return self.banks * (part.standby_mw + dynamic)
-
-    def as_module(self) -> MemoryModule:
-        """Descriptor view for uniform reporting."""
-        part = self.part
-        energy_nj = (part.active_mw - part.standby_mw) / (
-            part.max_access_rate_hz * 1e-6
-        ) * 1e-3
-        return MemoryModule(
-            name=self.name,
-            kind=MemoryKind.OFFCHIP,
-            words=part.words * self.banks,
-            width=part.width,
-            ports=self.banks,
-            area_mm2=0.0,
-            read_energy_nj=energy_nj,
-            write_energy_nj=energy_nj,
-            static_mw=part.standby_mw * self.banks,
-            cycle_ns=part.cycle_ns,
-        )
-
-
 class OffChipLibrary:
-    """Selects DRAM parts for basic groups and evaluates their power."""
+    """The DRAM parts off-chip basic groups can be placed on."""
 
-    def __init__(
-        self,
-        parts: Sequence[DramPart] = EDO_DRAM_PARTS,
-        interleave_overhead: float = 1.35,
-    ) -> None:
+    def __init__(self, parts: Sequence[DramPart] = EDO_DRAM_PARTS) -> None:
         if not parts:
             raise ValueError("off-chip library needs at least one part")
         self.parts = tuple(parts)
-        self.interleave_overhead = interleave_overhead
 
-    def candidates(self, words: int, width: int) -> Tuple[DramPart, ...]:
-        """Parts wide enough for ``width``; depth may span several parts."""
+    def candidates(self, width: int) -> Tuple[DramPart, ...]:
+        """Parts wide enough for ``width``, in table order."""
         return tuple(part for part in self.parts if part.width >= width)
-
-    def select(
-        self,
-        words: int,
-        width: int,
-        ports: int = 1,
-        access_rate_hz: float = 0.0,
-    ) -> OffChipConfig:
-        """Cheapest configuration storing ``words`` x ``width``.
-
-        ``ports > 1`` or an access rate above one part's limit forces an
-        interleaved multi-bank configuration.
-        """
-        fitting = self.candidates(words, width)
-        if not fitting:
-            raise ValueError(f"no off-chip part is {width} bits wide")
-        best: Optional[OffChipConfig] = None
-        best_power = float("inf")
-        for part in fitting:
-            depth_banks = math.ceil(words / part.words)
-            rate_banks = 1
-            if access_rate_hz > 0:
-                rate_banks = max(
-                    1, math.ceil(access_rate_hz / part.max_access_rate_hz)
-                )
-            banks = max(depth_banks, rate_banks, ports)
-            config = OffChipConfig(
-                part=part,
-                banks=banks,
-                interleave_overhead=self.interleave_overhead,
-            )
-            power = config.power_mw(access_rate_hz)
-            if power < best_power:
-                best_power = power
-                best = config
-        assert best is not None
-        return best

@@ -9,7 +9,7 @@ rate; standby power from the CMOS standby current.
 
 The absolute values only anchor the scale; the relative behaviour
 (wider parts draw more per access, power scales with access duty cycle,
-a second part doubles standby and breaks page locality) is what the
+every extra bank adds one part's standby power) is what the
 experiments rely on.
 """
 

@@ -4,12 +4,11 @@ Covers the acceptance scenarios for the network tier: two clients
 sharing one warm corpus with zero duplicate oracle evaluations, the
 outage contract (probes miss, stores are dropped, one connection
 attempt per retry cooldown) and recovery once the server is back, a
-mixed-format (``.rpc`` + legacy ``.json``) corpus served remotely
-byte-identically to local reads, and a ``max_entries`` bound on a
-remote client's in-process memo.
+disk corpus of generic and report records served remotely identically
+to local reads, and a ``max_entries`` bound on a remote client's
+in-process memo.
 """
 
-import json
 import socket
 import threading
 import time
@@ -339,13 +338,11 @@ class TestMixedFormatCorpus:
         expected = {}
         for i in range(6):
             key = f"key{i}"
-            payload = {"i": i, "nested": {"vals": [i, i * 2.5]}}
-            if i % 2 == 0:
-                compact_writer.put(key, payload)
-            else:  # a legacy shard, as pre-compact caches wrote them
-                shard = root / key[:2]
-                shard.mkdir(parents=True, exist_ok=True)
-                (shard / f"{key}.json").write_text(json.dumps(payload))
+            if i % 2 == 0:  # an embedded-JSON generic record
+                payload = {"i": i, "nested": {"vals": [i, i * 2.5]}}
+            else:  # a struct-packed report record
+                payload = CostReport(label=f"r{i}", cycles_used=i).to_dict()
+            compact_writer.put(key, payload)
             expected[key] = payload
 
         config = CacheServerConfig(host="127.0.0.1", port=0, cache_dir=root)

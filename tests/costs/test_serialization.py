@@ -11,7 +11,6 @@ from repro.costs.report import (
     COMPACT_VERSION,
     INFEASIBLE_MARKER,
     CompactDecodeError,
-    is_compact_payload,
     pack_payload,
     unpack_payload,
 )
@@ -113,7 +112,6 @@ def test_compact_report_payload_round_trip():
     )
     payload = report.to_dict()
     data = pack_payload(payload)
-    assert is_compact_payload(data)
     assert data.startswith(COMPACT_MAGIC)
     restored = unpack_payload(data)
     assert restored == payload
@@ -144,14 +142,14 @@ def test_compact_integer_fields_decode_equal():
 def test_compact_failure_payload_round_trip():
     payload = {INFEASIBLE_MARKER: "MacpError: 12 memories infeasible"}
     data = pack_payload(payload)
-    assert is_compact_payload(data)
+    assert data.startswith(COMPACT_MAGIC)
     assert unpack_payload(data) == payload
 
 
 def test_compact_generic_payload_round_trip():
     payload = {"value": 1, "nested": {"π": [1, 2.5, None, True]}}
     data = pack_payload(payload)
-    assert is_compact_payload(data)
+    assert data.startswith(COMPACT_MAGIC)
     assert unpack_payload(data) == payload
 
 

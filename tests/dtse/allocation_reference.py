@@ -100,7 +100,7 @@ class _Evaluator:
         read_rate, write_rate = self.rates(groups)
         raw_rate = read_rate + write_rate
         best: Optional[MemoryBin] = None
-        for part in self.library.offchip.candidates(words, width):
+        for part in self.library.offchip.candidates(width):
             depth_banks = -(-words // part.words)
             for banks in range(max(ports, depth_banks), MAX_BANKS + 1):
                 fits, effective = self._offchip_occupancy(groups, banks)
@@ -299,7 +299,6 @@ def assign_memories(
     cycles_used: float = 0.0,
     cycle_budget: float = 0.0,
     label: str = "",
-    seed: int = 0,
 ) -> AllocationResult:
     evaluator = _Evaluator(program, conflicts, library, frame_time_s, nest_loads)
 

@@ -173,6 +173,19 @@ def test_offchip_page_behaviour_prices_stencils():
     assert cost_str > cost_seq  # page misses (or extra banks) cost power
 
 
+def test_offchip_group_wider_than_every_part_is_rejected():
+    """The oracle only places an off-chip group on a part at least as
+    wide as the group."""
+    builder = ProgramBuilder("wide")
+    builder.array("w", (64,), 128)  # wider than any on-chip macro or part
+    nest = builder.nest("scan", ("i",), (64,))
+    nest.read("w")
+    program = builder.build()
+    assert [g.name for g in default_library().split(program.groups)[1]] == ["w"]
+    with pytest.raises(AssignmentError, match="group 'w' fits no off-chip part"):
+        run_pmm(program, 1_000, 1e-3)
+
+
 def test_register_groups_become_register_files(btpc_program, constraints):
     from repro.dtse import apply_hierarchy
 

@@ -24,10 +24,9 @@ from repro.api import (
     MemoryCache,
     ProgramBuilder,
 )
-from repro.costs.report import COMPACT_MAGIC, unpack_payload
+from repro.costs.report import COMPACT_MAGIC, pack_payload
 from repro.explore.cache import (
     COMPACT_SUFFIX,
-    JSON_SUFFIX,
     RemoteCache,
     parse_remote_url,
     resolve_backend,
@@ -36,14 +35,6 @@ from repro.explore.cache import (
 
 def _payload(value: int) -> dict:
     return {"value": value}
-
-
-def _write_legacy(root: Path, key: str, payload: dict) -> Path:
-    """Write a legacy ``<key[:2]>/<key>.json`` shard, as old caches did."""
-    path = root / key[:2] / f"{key}{JSON_SUFFIX}"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -144,9 +135,26 @@ def test_disk_cache_tolerates_non_object_payload(tmp_path):
     cache = DiskCache(tmp_path)
     shard = tmp_path / "ab"
     shard.mkdir()
-    (shard / "abcd.json").write_text("[1, 2]", encoding="utf-8")
+    generic = pack_payload(_payload(1))  # header, then the embedded JSON
+    header = generic[: generic.index(b"{")]
+    (shard / f"abcd{COMPACT_SUFFIX}").write_bytes(header + b"[1, 2]")
     assert cache.get("abcd") is None
     assert cache.stats.corrupt == 1
+
+
+def test_disk_cache_ignores_files_it_does_not_write(tmp_path):
+    """A foreign file beside a record, such as a ``.json`` shard of an
+    older store, is never read, counted, corrupt-counted or removed."""
+    cache = DiskCache(tmp_path)
+    cache.put("abcd", _payload(1))
+    foreign = tmp_path / "ab" / "abef.json"
+    foreign.write_text(json.dumps(_payload(2)), encoding="utf-8")
+    assert cache.get("abef") is None
+    assert cache.stats.corrupt == 0
+    assert len(cache) == 1
+    cache.clear()
+    assert not (tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}").exists()
+    assert foreign.read_text(encoding="utf-8") == json.dumps(_payload(2))
 
 
 def test_disk_cache_atomic_writes_leave_no_temp_files(tmp_path):
@@ -182,14 +190,12 @@ def test_disk_cache_clear_removes_sibling_shards_and_empty_dirs(tmp_path):
     cache = DiskCache(tmp_path)
     cache.put("abcd", _payload(1))
     DiskCache(tmp_path).put("efgh", _payload(2))  # a sibling's store
-    _write_legacy(tmp_path, "ijkl", _payload(3))
     cache.clear()
     assert len(cache) == 0
     assert sorted(tmp_path.iterdir()) == []  # no shard dirs left behind
     fresh = DiskCache(tmp_path)
     assert fresh.get("abcd") is None
     assert fresh.get("efgh") is None
-    assert fresh.get("ijkl") is None
 
 
 def test_disk_cache_batch_shares_a_shard_directory(tmp_path):
@@ -336,79 +342,6 @@ def test_disk_cache_lookup_many_tolerates_corrupt_shards(tmp_path):
     assert fresh.stats.misses == 1
     # The bad file was discarded so a rewrite repairs the entry.
     assert not shard.exists()
-
-
-def test_disk_cache_lookup_many_mixed_format_directory(tmp_path):
-    """Legacy JSON shards and compact records resolve side by side."""
-    _write_legacy(tmp_path, "aaaa", _payload(1))
-    _write_legacy(tmp_path, "bbbb", _payload(2))
-    compact = DiskCache(tmp_path)
-    compact.store_many({"cccc": _payload(3), "dddd": _payload(4)})
-    fresh = DiskCache(tmp_path)
-    assert len(fresh) == 4
-    found = fresh.lookup_many(["aaaa", "bbbb", "cccc", "dddd", "eeee"])
-    assert found == {
-        "aaaa": _payload(1),
-        "bbbb": _payload(2),
-        "cccc": _payload(3),
-        "dddd": _payload(4),
-    }
-    assert fresh.stats.hits == 4
-    assert fresh.stats.misses == 1
-    assert fresh.stats.corrupt == 0
-    # Per-key gets resolve both formats too.
-    again = DiskCache(tmp_path)
-    assert again.get("aaaa") == {"value": 1}
-    assert again.get("cccc") == {"value": 3}
-
-
-def test_disk_cache_corrupt_legacy_shard_in_mixed_directory(tmp_path):
-    """A truncated legacy .json next to healthy compact records is
-    tolerated exactly like a corrupt compact record, in get and in
-    lookup_many, with the same stats accounting."""
-    _write_legacy(tmp_path, "aaaa", _payload(1))
-    compact = DiskCache(tmp_path)
-    compact.put("cccc", _payload(3))
-    (tmp_path / "aa" / "aaaa.json").write_text("{truncated", encoding="utf-8")
-    fresh = DiskCache(tmp_path)
-    assert fresh.lookup_many(["aaaa", "cccc"]) == {"cccc": _payload(3)}
-    assert fresh.stats.corrupt == 1
-    assert fresh.stats.misses == 1
-    assert fresh.stats.hits == 1
-    assert not (tmp_path / "aa" / "aaaa.json").exists()
-    _write_legacy(tmp_path, "bbbb", _payload(2)).write_text("[1, 2]", encoding="utf-8")
-    probe = DiskCache(tmp_path)
-    assert probe.get("bbbb") is None
-    assert probe.stats.corrupt == 1
-
-
-def test_disk_cache_corrupt_shard_falls_back_to_healthy_sibling_format(tmp_path):
-    """A corrupt record in one format must not destroy the entry when a
-    healthy shard of the other format exists: only the bad file is
-    discarded, and the probe still resolves."""
-    _write_legacy(tmp_path, "abcd", _payload(1))
-    bad = tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}"
-    bad.write_bytes(COMPACT_MAGIC + b"\x01")  # truncated compact record
-    fresh = DiskCache(tmp_path)  # reads the (corrupt) .rpc shard first
-    assert fresh.get("abcd") == {"value": 1}
-    assert fresh.stats.corrupt == 1
-    assert fresh.stats.hits == 1
-    assert fresh.stats.misses == 0
-    assert not bad.exists()  # the corrupt file was discarded...
-    assert (tmp_path / "ab" / "abcd.json").exists()  # ...the healthy one kept
-    assert fresh.lookup_many(["abcd"]) == {"abcd": _payload(1)}
-
-
-def test_disk_cache_put_supersedes_other_format_shard(tmp_path):
-    """Rewriting an entry removes its legacy JSON shard, so one key
-    can never be backed by two live files."""
-    _write_legacy(tmp_path, "abcd", _payload(1))
-    compact = DiskCache(tmp_path)
-    compact.put("abcd", _payload(2))
-    assert not (tmp_path / "ab" / "abcd.json").exists()
-    assert (tmp_path / "ab" / f"abcd{COMPACT_SUFFIX}").exists()
-    assert DiskCache(tmp_path).get("abcd") == {"value": 2}
-    assert len(DiskCache(tmp_path)) == 1
 
 
 def test_disk_cache_lookup_many_sees_sibling_writes(tmp_path):
@@ -847,28 +780,5 @@ def test_disk_cache_warm_start_across_processes(tmp_path):
     # The on-disk entries are compact payload records under sharded dirs.
     files = sorted(cache_dir.rglob(f"*{COMPACT_SUFFIX}"))
     assert len(files) == 4
-    assert sorted(cache_dir.rglob(f"*{JSON_SUFFIX}")) == []
     for file in files:
         assert file.read_bytes().startswith(COMPACT_MAGIC)
-
-
-def test_preexisting_json_cache_dir_stays_warm_under_compact(tmp_path):
-    """The migration guarantee: a cache directory written entirely in
-    the legacy JSON format — or mixing legacy shards with compact
-    records — re-sweeps with zero oracle re-evaluations."""
-    for every in (1, 2):  # all shards legacy, then every other one
-        cache_dir = tmp_path / f"cache{every}"
-        first = Explorer(_space(), cache=cache_dir)
-        first.run(ExhaustiveSweep())
-        assert first.cache.misses == 4
-        for path in sorted(cache_dir.rglob(f"*{COMPACT_SUFFIX}"))[::every]:
-            payload = unpack_payload(path.read_bytes())
-            _write_legacy(cache_dir, path.stem, payload)
-            path.unlink()
-        assert len(sorted(cache_dir.rglob(f"*{JSON_SUFFIX}"))) == 4 // every
-
-        modern = Explorer(_space(), cache=cache_dir)
-        modern.run(ExhaustiveSweep())
-        assert modern.cache.misses == 0
-        assert modern.cache.hits == 4
-        assert modern.cache.backend.stats.corrupt == 0

@@ -1,18 +1,72 @@
-"""Incremental fingerprinting: byte-compatibility and memoization.
+"""Fingerprints: what the address covers, byte-compatibility, memoization.
 
-The explorer's batched ``fingerprint_points`` (invariant
+A fingerprint covers exactly the request fields the oracle reads, so a
+field the oracle does not read must not split one evaluation into two
+addresses.  The explorer's batched ``fingerprint_points`` (invariant
 program/library fragments + per-point knob digest) must produce
 fingerprints byte-identical to the monolithic ``fingerprint_request``
-reference: that is what keeps existing ``DiskCache`` directories and
-golden files valid.
+reference, so an entry stored through one path is found through the
+other.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.api import DesignSpace, Explorer, fingerprint_request, list_apps
+from repro.api import (
+    DesignSpace,
+    Explorer,
+    PmmRequest,
+    fingerprint_request,
+    list_apps,
+)
 from repro.explore import fingerprint as fingerprint_module
 from repro.explore.fingerprint import cached_canonical_json, canonical_json
-from repro.memlib.library import default_library
+from repro.memlib.library import MemoryLibrary, default_library
+
+
+# ----------------------------------------------------------------------
+# Coverage: the address holds what the oracle reads
+# ----------------------------------------------------------------------
+def test_fingerprint_covers_exactly_the_oracle_inputs():
+    """Every field but the cosmetic ``label`` moves the address.
+
+    A new ``PmmRequest`` field must be added here on purpose: with a
+    different value below if the oracle reads it, or not at all.
+    """
+    fields = [field.name for field in dataclasses.fields(PmmRequest)]
+    assert fields == [
+        "program",
+        "cycle_budget",
+        "frame_time_s",
+        "library",
+        "n_onchip",
+        "area_weight",
+        "label",
+    ]
+    base = PmmRequest(
+        program=_tiny_program(),
+        cycle_budget=1_000.0,
+        frame_time_s=1e-3,
+        library=default_library(),
+        n_onchip=None,
+        area_weight=0.5,
+        label="base",
+    )
+    different = {
+        "program": _tiny_program(words=128),
+        "cycle_budget": 2_000.0,
+        "frame_time_s": 2e-3,
+        "library": MemoryLibrary(offchip_word_threshold=32),
+        "n_onchip": 1,
+        "area_weight": 0.25,
+    }
+    assert sorted(different) == sorted(set(fields) - {"label"})
+    reference = fingerprint_request(base)
+    for name, value in different.items():
+        changed = dataclasses.replace(base, **{name: value})
+        assert fingerprint_request(changed) != reference, name
+    assert fingerprint_request(base.relabeled("renamed")) == reference
 
 
 # ----------------------------------------------------------------------
@@ -33,19 +87,19 @@ def test_fingerprint_from_parts_matches_reference_on_edge_knobs():
     """Float formatting and null knobs splice exactly as json.dumps does."""
     space = DesignSpace("edge", cycle_budget=12_345.678, frame_time_s=1e-3)
     space.add_variant("v", build=_tiny_program)
-    explorer = Explorer(space, area_weight=0.125, seed=7)
+    explorer = Explorer(space, area_weight=0.125)
     points = [space.point("v", n_onchip=n_onchip) for n_onchip in (None, 0, 3)]
     assert explorer.fingerprint_points(points) == [
         fingerprint_request(explorer.request_for(point)) for point in points
     ]
 
 
-def _tiny_program():
+def _tiny_program(words=64):
     from repro.api import ProgramBuilder
 
     builder = ProgramBuilder("tiny")
-    builder.array("a", shape=(64,), bitwidth=8)
-    nest = builder.nest("loop", iterators=("i",), trips=(64,))
+    builder.array("a", shape=(words,), bitwidth=8)
+    nest = builder.nest("loop", iterators=("i",), trips=(words,))
     nest.read("a", index=("i",))
     return builder.build()
 

@@ -71,32 +71,12 @@ def test_register_file_model():
 
 def test_offchip_selects_width_compatible_part():
     library = OffChipLibrary()
-    config = library.select(1 << 20, 10)
-    assert config.part.width >= 10
-
-
-def test_offchip_depth_banking():
-    library = OffChipLibrary()
-    config = library.select(3 << 20, 8)
-    assert config.banks * config.part.words >= 3 << 20
-
-
-def test_offchip_rejects_impossible_width():
-    with pytest.raises(ValueError):
-        OffChipLibrary().select(1024, 128)
-
-
-@given(st.floats(0, 25e6), st.floats(0, 25e6))
-def test_offchip_power_monotone_in_rate(rate_a, rate_b):
-    config = OffChipLibrary().select(1 << 20, 8)
-    low, high = sorted((rate_a, rate_b))
-    assert config.power_mw(low) <= config.power_mw(high) + 1e-9
-
-
-def test_offchip_power_bounded_by_active():
-    part = EDO_DRAM_PARTS[0]
-    config = OffChipLibrary().select(part.words, part.width)
-    assert config.power_mw(1e12) <= config.part.active_mw * config.banks + 1e-9
+    parts = library.candidates(10)
+    assert parts
+    assert all(part.width >= 10 for part in parts)
+    assert parts == tuple(part for part in EDO_DRAM_PARTS if part in parts)
+    widest = max(part.width for part in EDO_DRAM_PARTS)
+    assert library.candidates(widest + 1) == ()
 
 
 def test_library_split_policy():
